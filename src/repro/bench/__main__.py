@@ -6,7 +6,8 @@ Run the benchmark matrix and append the next report to the trajectory::
     python -m repro.bench --output-dir out   # write out/BENCH_<n>.json
 
 Diff two reports (exit code 1 when a scenario regressed by more than the
-threshold — this is the CI perf gate)::
+threshold — this is the CI perf gate; exit code 2 when the reports are not
+budget-comparable)::
 
     python -m repro.bench compare BENCH_1.json BENCH_2.json --threshold 0.25
 """
@@ -39,7 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--index", type=int, default=None,
                         help="force the report index instead of auto-numbering")
     parser.add_argument("--filter", dest="name_filter", default=None,
-                        help="only run scenarios whose name contains this substring")
+                        action="extend", nargs="+", metavar="SUBSTRING",
+                        help="only run scenarios whose name contains one of "
+                             "these substrings (repeatable)")
     parser.add_argument("--no-components", action="store_true",
                         help="skip the component microbenchmarks")
     parser.add_argument("--list", action="store_true",

@@ -287,6 +287,29 @@ class Comparison:
         return "\n".join(lines)
 
 
+def _budget(result: ScenarioResult) -> Optional[int]:
+    """A scenario's instruction budget (as declared by the scenario)."""
+    return result.metadata.get("instructions", result.instructions)
+
+
+def _budget_mismatches(baseline: BenchReport, current: BenchReport) -> List[str]:
+    """Every budget difference that makes two reports' rates incomparable."""
+    mismatches = []
+    if baseline.quick != current.quick:
+        mismatches.append(f"quick {baseline.quick} vs {current.quick}")
+    for base_result in baseline.scenarios:
+        cur_result = current.scenario(base_result.name)
+        if cur_result is None:
+            continue
+        for label, base_value, cur_value in (
+            ("instructions", _budget(base_result), _budget(cur_result)),
+            ("repeats", base_result.repeats, cur_result.repeats),
+        ):
+            if base_value != cur_value:
+                mismatches.append(f"{base_result.name} {label} {base_value} vs {cur_value}")
+    return mismatches
+
+
 def compare_reports(
     baseline: BenchReport,
     current: BenchReport,
@@ -298,9 +321,19 @@ def compare_reports(
     Rates are divided by each report's calibration score when
     ``normalize`` is true and both reports carry one, so a committed
     baseline from one machine gates a run on another.
+
+    Raises
+    ------
+    BenchReportError
+        When the threshold is not positive, or the reports are not
+        budget-comparable: their ``quick`` flags differ, or a scenario
+        both reports share differs in instruction budget or repeats.
     """
     if threshold <= 0:
         raise BenchReportError("comparison threshold must be positive")
+    mismatches = _budget_mismatches(baseline, current)
+    if mismatches:
+        raise BenchReportError("reports are not budget-comparable: " + "; ".join(mismatches))
     can_normalize = (
         normalize
         and baseline.calibration_score > 0

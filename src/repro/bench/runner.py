@@ -14,7 +14,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Union
 
 from repro.bench.report import (
     BenchReport,
@@ -62,7 +62,8 @@ class BenchmarkRunner:
     quick: bool = False
     repeats: int = 2
     include_components: bool = True
-    name_filter: Optional[str] = None
+    #: Substring(s) a scenario name must contain (any one of them).
+    name_filter: Union[str, Sequence[str], None] = None
     progress: Optional[ProgressCallback] = None
     #: Scenario overrides, mainly for tests; defaults to the full matrix.
     simulations: Optional[Sequence[SimulationScenario]] = None
@@ -82,7 +83,10 @@ class BenchmarkRunner:
     def _selected(self, scenarios: Sequence) -> List:
         if self.name_filter is None:
             return list(scenarios)
-        return [s for s in scenarios if self.name_filter in s.name]
+        filters = (
+            [self.name_filter] if isinstance(self.name_filter, str) else list(self.name_filter)
+        )
+        return [s for s in scenarios if any(f in s.name for f in filters)]
 
     def _time(self, run: Callable[[], object]) -> tuple[float, object]:
         """Best wall time over ``repeats`` runs, plus the last result."""
@@ -322,7 +326,7 @@ def run_and_save(
     repeats: int = 2,
     index: Optional[int] = None,
     index_dirs: Sequence[str] = (),
-    name_filter: Optional[str] = None,
+    name_filter: Union[str, Sequence[str], None] = None,
     include_components: bool = True,
     progress: Optional[ProgressCallback] = None,
 ) -> tuple[BenchReport, str]:

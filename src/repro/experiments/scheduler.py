@@ -10,8 +10,10 @@ remainder with the **trace-once / replay-many** engine:
   (workload, frontend configuration) pair per group; every register-file
   architecture and backend configuration in a sweep shares one group;
 * each group's trace is recorded once (one canonical pipeline run over
-  the full stream, see :mod:`repro.trace`) unless the
-  :class:`~repro.trace.store.TraceStore` already holds it;
+  the stream prefix the group's replays can fetch, see
+  :meth:`SimulationPoint.trace_reach` and :mod:`repro.trace`) unless the
+  :class:`~repro.trace.store.TraceStore` already holds a trace that
+  covers it;
 * the group's points are then *replayed* against the trace, skipping
   workload generation and the whole frontend while reproducing the
   live-run statistics bit for bit.
@@ -126,6 +128,31 @@ class SimulationPoint:
         """Key of the decoded trace that can drive this point."""
         return trace_key(self.workload_identity(), self.config)
 
+    def trace_reach(self) -> int:
+        """How many stream instructions any replay of this point can fetch.
+
+        Every fetched but uncommitted instruction sits in the ROB or the
+        decode queue.  The queue holds fewer than ``fetch_buffer_size``
+        instructions before a fetch and a fetch adds at most
+        ``fetch_width``; the run stops in the cycle its commit count
+        reaches ``max_instructions``.  A sampled point may read the
+        whole stream.
+        """
+        length = self.stream_length()
+        if self.sampling is not None:
+            return length
+        config = self.config
+        return min(
+            length,
+            config.max_instructions + config.rob_size
+            + config.fetch_buffer_size + config.fetch_width,
+        )
+
+
+def _group_reach(points: Iterable[SimulationPoint]) -> int:
+    """The stream prefix a trace must cover to drive all of ``points``."""
+    return max(point.trace_reach() for point in points)
+
 
 def build_point_stream(point: SimulationPoint):
     """The dynamic instruction stream of ``point`` (lazy iterator)."""
@@ -136,8 +163,9 @@ def build_point_stream(point: SimulationPoint):
 def _recording_doubles_as_run(point: SimulationPoint) -> bool:
     """Whether recording with ``point``'s own factory *is* its live run.
 
-    The recorder lifts the commit limit to the stream length and disables
+    A whole-stream recording commits the whole stream and disables
     occupancy collection; when the point already commits the whole stream
+    (its reach is the whole stream, so its recording is never cut short)
     and asks for neither occupancy nor an explicit cycle cap, the
     recording run's statistics equal the point's live statistics.
     """
@@ -150,9 +178,10 @@ def _recording_doubles_as_run(point: SimulationPoint) -> bool:
     )
 
 
-def record_point_trace(point: SimulationPoint):
-    """Record the group's trace; harvest the recording run as ``point``'s
-    result when eligible.  Returns ``(trace, stats_or_None)``."""
+def record_point_trace(point: SimulationPoint, reach: Optional[int] = None):
+    """Record the group's trace up to ``reach`` stream instructions
+    (default: ``point.trace_reach()``); harvest the recording run as
+    ``point``'s result when eligible.  Returns ``(trace, stats_or_None)``."""
     if _seams.active is not None:
         # Chaos seam: the recording run doubles as this point's
         # execution on the jobs=1 path, so worker faults must be able
@@ -162,6 +191,8 @@ def record_point_trace(point: SimulationPoint):
             benchmark=point.benchmark,
             architecture=point.architecture,
         )
+    if reach is None:
+        reach = point.trace_reach()
     harvest = _recording_doubles_as_run(point)
     trace, stats = record_trace_with_stats(
         point.benchmark,
@@ -169,13 +200,16 @@ def record_point_trace(point: SimulationPoint):
         point.config,
         point.workload_identity(),
         canonical_factory=point.factory if harvest else None,
+        reach=reach if reach < point.stream_length() else None,
     )
     return trace, (stats if harvest else None)
 
 
-def build_point_trace(point: SimulationPoint) -> DecodedTrace:
+def build_point_trace(
+    point: SimulationPoint, reach: Optional[int] = None
+) -> DecodedTrace:
     """Record the decoded trace that drives ``point``'s sweep group."""
-    trace, _ = record_point_trace(point)
+    trace, _ = record_point_trace(point, reach)
     return trace
 
 
@@ -361,6 +395,8 @@ class _RecordTask:
 
     point: SimulationPoint
     cache_dir: Optional[str]
+    #: Stream prefix the group's replays need (see ``_group_reach``).
+    reach: int
     #: Observability payload (``{"events_dir", "trace"}``) letting the
     #: worker process emit its spans into the service's event log under
     #: the submitting job's trace; ``None`` keeps workers silent.
@@ -417,21 +453,30 @@ def _maybe_span(telemetry: Optional[Telemetry], name: str,
     return telemetry.span(name, parent=parent, **attrs)
 
 
+def _keep_worker_trace(trace: DecodedTrace) -> None:
+    """Cache ``trace`` in this worker process, evicting the oldest."""
+    _WORKER_TRACES.pop(trace.key, None)
+    while len(_WORKER_TRACES) >= _WORKER_TRACE_CACHE_LIMIT:
+        _WORKER_TRACES.pop(next(iter(_WORKER_TRACES)))
+    _WORKER_TRACES[trace.key] = trace
+
+
 def _worker_trace(key: str, payload: Optional[dict],
                   cache_dir: Optional[str],
-                  fallback_point: SimulationPoint) -> DecodedTrace:
+                  points: Sequence[SimulationPoint]) -> DecodedTrace:
+    reach = _group_reach(points)
     trace = _WORKER_TRACES.get(key)
-    if trace is None:
+    if trace is None or not trace.serves(reach):
+        trace = None
         if payload is not None:
             trace = DecodedTrace.from_payload(payload)
         elif cache_dir:
             trace = TraceStore(cache_dir).get(key)
-        if trace is None:
-            # Disk entry vanished or was corrupt: re-record locally.
-            trace = build_point_trace(fallback_point)
-        while len(_WORKER_TRACES) >= _WORKER_TRACE_CACHE_LIMIT:
-            _WORKER_TRACES.pop(next(iter(_WORKER_TRACES)))
-        _WORKER_TRACES[key] = trace
+        if trace is None or not trace.serves(reach):
+            # Disk entry vanished, was corrupt or holds a shorter prefix
+            # than these points need: re-record locally.
+            trace = build_point_trace(points[0], reach)
+        _keep_worker_trace(trace)
     return trace
 
 
@@ -447,10 +492,8 @@ def _record_remote(task: _RecordTask) -> Tuple[Optional[dict], dict]:
     point = task.point
     with _maybe_span(telemetry, "trace.record", parent=parent,
                      benchmark=point.benchmark):
-        trace, recorded_stats = record_point_trace(point)
-    while len(_WORKER_TRACES) >= _WORKER_TRACE_CACHE_LIMIT:
-        _WORKER_TRACES.pop(next(iter(_WORKER_TRACES)))
-    _WORKER_TRACES[trace.key] = trace
+        trace, recorded_stats = record_point_trace(point, task.reach)
+    _keep_worker_trace(trace)
     if recorded_stats is not None:
         stats = recorded_stats.to_dict()
     else:
@@ -468,7 +511,7 @@ def _batch_remote(batch: _TraceBatch) -> List[dict]:
     _obs_profile.maybe_enable_worker()
     telemetry, parent = _worker_telemetry(batch.obs)
     trace = _worker_trace(
-        batch.trace_key, batch.payload, batch.cache_dir, batch.points[0]
+        batch.trace_key, batch.payload, batch.cache_dir, batch.points
     )
     results = []
     for point in batch.points:
@@ -849,14 +892,26 @@ class SweepEngine:
 
         traces = self.trace_store
 
-        # Group the pending points by the decoded trace that can drive them.
+        # Group the pending points by the decoded trace that can drive
+        # them; a stored trace drives a group only if it covers the
+        # stream prefix every member's replay can fetch.
         groups: Dict[str, List[Tuple[str, SimulationPoint]]] = {}
         for key, point in pending.items():
             groups.setdefault(point.trace_key(), []).append((key, point))
+        reaches = {
+            group_key: _group_reach(point for _, point in members)
+            for group_key, members in groups.items()
+        }
+
+        def stored_trace(group_key: str) -> Optional[DecodedTrace]:
+            trace = traces.get(group_key)
+            if trace is None or not trace.serves(reaches[group_key]):
+                return None
+            return trace
 
         if jobs <= 1:
             for group_key, members in groups.items():
-                trace = traces.get(group_key)
+                trace = stored_trace(group_key)
                 recorded_stats = None
                 record_seconds = 0.0
                 if trace is None:
@@ -864,7 +919,9 @@ class SweepEngine:
                     with _maybe_span(self.telemetry, "trace.record",
                                      benchmark=members[0][1].benchmark,
                                      histogram="trace.record_seconds"):
-                        trace, recorded_stats = record_point_trace(members[0][1])
+                        trace, recorded_stats = record_point_trace(
+                            members[0][1], reaches[group_key]
+                        )
                     record_seconds = time.perf_counter() - record_started
                     traces.put(trace)
                     counters["traces_recorded"] += 1
@@ -907,7 +964,7 @@ class SweepEngine:
         batch_members: List[Tuple[str, SimulationPoint, str]] = []
 
         for group_key, members in groups.items():
-            trace = traces.get(group_key)
+            trace = stored_trace(group_key)
             if trace is None:
                 record_groups.append((group_key, members))
             else:
@@ -934,8 +991,9 @@ class SweepEngine:
                 [
                     _RecordTask(point=members[0][1],
                                 cache_dir=traces.cache_dir if on_disk else None,
+                                reach=reaches[group_key],
                                 obs=worker_obs)
-                    for _, members in record_groups
+                    for group_key, members in record_groups
                 ],
                 worker=_record_remote,
                 jobs=jobs,

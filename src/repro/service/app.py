@@ -637,6 +637,8 @@ class ServiceApp:
             elif disk_job.state != known.state or (
                 disk_job.points != known.points
             ):
+                # ``update_from`` keeps a job our executor completed after
+                # ``load_all`` read its record: the record is stale.
                 known.update_from(disk_job)
             if known.state == RUNNING and self.leases.holder(known.id) is None:
                 self._steal(known)

@@ -39,6 +39,10 @@ DEFAULT_URL = "http://127.0.0.1:8642"
 #: HTTP statuses that mark a *transient* server-side rejection.
 RETRYABLE_STATUSES = (429, 503)
 
+#: How long ``watch`` waits, once its poll sees the job terminal, for the
+#: phase stream to deliver the terminal phase (seconds).
+PHASE_GRACE_SECONDS = 2.0
+
 
 class ServiceError(ReproError):
     """A request the service rejected (or could not be delivered at all).
@@ -375,17 +379,19 @@ class ServiceClient:
 
         ``on_phase`` (if given) receives the job's ``job_phase``
         telemetry events (queued → leased → running → completed/failed)
-        streamed live from ``GET /events`` on a background thread.  A
-        server without an event stream — an older build, or one running
-        without a cache dir — simply never calls it: phase streaming
-        degrades silently, the poll loop is unaffected.
+        streamed live from ``GET /events`` on a background thread.  Once
+        the job is terminal, ``watch`` waits up to
+        :data:`PHASE_GRACE_SECONDS` for the terminal phase to be
+        delivered before it returns; no phase is delivered after that.
+        A server without an event stream — an older build, or one
+        running without a cache dir — simply never calls it: phase
+        streaming degrades silently, the poll loop is unaffected.
         """
         if max_interval is None:
             max_interval = max(interval, 8.0)
-        phase_stop: Optional[threading.Event] = None
+        stop = threading.Event()
+        pump: Optional[threading.Thread] = None
         if on_phase is not None:
-            phase_stop = threading.Event()
-            stop = phase_stop
 
             def _pump_phases() -> None:
                 try:
@@ -395,21 +401,30 @@ class ServiceClient:
                         if (event.get("kind") == "job_phase"
                                 and event.get("job_id") == job_id):
                             on_phase(event)
+                            if event.get("phase") in TERMINAL_STATES:
+                                return  # nothing follows a terminal phase
                 except ServiceError:
                     pass  # no event stream on this server: degrade silently
 
-            threading.Thread(
+            pump = threading.Thread(
                 target=_pump_phases, name=f"watch-events-{job_id}",
                 daemon=True,
-            ).start()
+            )
+            pump.start()
         try:
-            return self._watch_poll(
+            job = self._watch_poll(
                 job_id, interval, timeout, on_update, max_interval, backoff,
                 jitter, unreachable_timeout, _sleep, _clock,
             )
+            if pump is not None:
+                # The poll can see the terminal state before the pump has
+                # dispatched the terminal phase (the server emits it just
+                # after the state flips, and a loaded client lags behind
+                # the stream): let the pump deliver it before returning.
+                pump.join(PHASE_GRACE_SECONDS)
+            return job
         finally:
-            if phase_stop is not None:
-                phase_stop.set()
+            stop.set()
 
     def _watch_poll(
         self, job_id, interval, timeout, on_update, max_interval, backoff,

@@ -166,23 +166,31 @@ class Job:
         cross-replica refresh must mutate in place rather than swap the
         object.  Only ever called for jobs this replica is *not*
         currently running (the runner's own copy is authoritative).
+
+        Terminal states are final: a non-terminal record never replaces
+        a terminal job — it was read before the job finished here.  The
+        check holds the state lock, so it cannot interleave with a
+        terminal mark.
         """
         if other.id != self.id:
             raise ValueError("refusing to update a job from a different id")
-        self.spec = other.spec
-        self.priority = other.priority
-        self.state = other.state
-        self.submitted_at = other.submitted_at
-        self.started_at = other.started_at
-        self.finished_at = other.finished_at
-        self.points = dict(other.points)
-        self.counters = other.counters
-        self.error = other.error
-        self.result = other.result
-        self.attempts = other.attempts
-        self.fault_history = list(other.fault_history)
-        if other.trace is not None:
-            self.trace = dict(other.trace)
+        with self._state_lock:
+            if self.state in TERMINAL_STATES and other.state not in TERMINAL_STATES:
+                return
+            self.spec = other.spec
+            self.priority = other.priority
+            self.state = other.state
+            self.submitted_at = other.submitted_at
+            self.started_at = other.started_at
+            self.finished_at = other.finished_at
+            self.points = dict(other.points)
+            self.counters = other.counters
+            self.error = other.error
+            self.result = other.result
+            self.attempts = other.attempts
+            self.fault_history = list(other.fault_history)
+            if other.trace is not None:
+                self.trace = dict(other.trace)
 
     # ------------------------------------------------------------------
 

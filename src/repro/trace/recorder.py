@@ -1,14 +1,20 @@
 """Recording the frontend of one canonical pipeline run.
 
-The recorder materializes the workload, then runs one full pipeline
-simulation (the cheapest architecture by default — a 1-cycle monolithic
-register file) with a :class:`RecordingFetchUnit` in place of the plain
-fetch unit.  The commit limit is lifted to the stream length so fetch
-consumes the *entire* stream under fully live conditions: every branch
-resolves and trains the predictor exactly as a live run would, so the
-recorded events are valid for any replayed commit budget up to the
-stream length (a simulation with a higher commit limit is
+The recorder runs one pipeline simulation (the cheapest architecture by
+default — a 1-cycle monolithic register file) with a
+:class:`RecordingFetchUnit` in place of the plain fetch unit.  Every
+branch resolves and trains the predictor exactly as a live run would, so
+the recorded events are valid for any replay that fetches no further
+than the recording did (a simulation with a higher commit limit is
 cycle-identical to one with a lower limit until the lower limit stops).
+
+A recording with a ``reach`` pulls the stream only as fetch consumes it
+and stops right after the fetch event that delivers instruction
+``reach + 1``: the prefix it keeps holds every event a replay fetching
+at most ``reach`` instructions can consume, including the empty
+I-cache-miss events that precede the next delivery.  Without a
+``reach`` the commit limit is the stream length and the whole stream is
+recorded.
 """
 
 from __future__ import annotations
@@ -53,6 +59,10 @@ def _canonical_regfile() -> SingleBankedRegisterFile:
     return SingleBankedRegisterFile(latency=1, bypass_levels=1)
 
 
+class _ReachRecorded(Exception):
+    """Ends a recording run once its reach is covered (recorder-private)."""
+
+
 class RecordingFetchUnit(FetchUnit):
     """A fetch unit that logs one event per delivering ``fetch()`` call.
 
@@ -61,11 +71,17 @@ class RecordingFetchUnit(FetchUnit):
     replayer reproduces those from its own stall/block bookkeeping.
     Empty calls that consumed an I-cache miss or discovered stream
     exhaustion are events — they change observable state.
+
+    The delivered instructions are kept alongside the events; with a
+    ``reach``, the call that delivers instruction ``reach + 1`` ends the
+    run by raising :class:`_ReachRecorded` after logging its event.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
+    def __init__(self, *args, reach: Optional[int] = None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.events: list[FetchEvent] = []
+        self.instructions: list[DynamicInstruction] = []
+        self.reach = reach
         self._recorded_exhaustion = False
 
     def fetch(self, cycle: int):
@@ -91,6 +107,11 @@ class RecordingFetchUnit(FetchUnit):
         if post_stall < 0:
             post_stall = 0
         self.events.append((len(group), post_stall, hits, misses, flags))
+        if group:
+            delivered = self.instructions
+            delivered.extend([fetched.instruction for fetched in group])
+            if self.reach is not None and len(delivered) > self.reach:
+                raise _ReachRecorded
         return group
 
 
@@ -100,20 +121,34 @@ def record_trace_with_stats(
     config: ProcessorConfig,
     workload_id: dict,
     canonical_factory: Optional[Callable] = None,
+    reach: Optional[int] = None,
 ):
     """Like :func:`record_trace`, also returning the recording run's stats.
 
-    The recording run is a complete, fully live simulation of
-    ``(canonical_factory, config-with-lifted-commit-limit)``.  When the
-    caller's point already commits the whole stream (no warmup slack, no
-    occupancy collection, no explicit cycle cap) and ``canonical_factory``
-    is that point's own factory, the returned statistics *are* the
-    point's live results — the scheduler harvests them instead of
-    replaying the recording point a second time.
+    Without ``reach`` the recording run is a complete, fully live
+    simulation of ``(canonical_factory, config-with-the-stream-length-as-
+    commit-limit)``.  When the caller's point already commits the whole
+    stream (no warmup slack, no occupancy collection, no explicit cycle
+    cap) and ``canonical_factory`` is that point's own factory, the
+    returned statistics *are* the point's live results — the scheduler
+    harvests them instead of replaying the recording point a second time.
+
+    With a ``reach`` below the stream length, the stream is pulled only
+    as fetch consumes it and the run stops right after the fetch event
+    that delivers instruction ``reach + 1``; the trace keeps exactly the
+    events so far and the instructions they delivered, and the stats
+    returned are ``None``.
     """
-    stream = list(instructions)
+    if reach is None:
+        stream = list(instructions)
+        commit_limit = len(stream)
+    else:
+        stream = instructions
+        # Committing ``reach + 1`` instructions needs them fetched, so the
+        # commit limit can never end the run before the reach stop does.
+        commit_limit = reach + 1
     record_config = config.with_overrides(
-        max_instructions=len(stream),
+        max_instructions=commit_limit,
         max_cycles=None,
         collect_occupancy=False,
     )
@@ -121,17 +156,21 @@ def record_trace_with_stats(
     predictor = GSharePredictor(record_config.branch_predictor_entries)
     btb = BranchTargetBuffer(record_config.btb_entries)
     unit = RecordingFetchUnit(
-        iter(stream), icache, predictor, btb, width=record_config.fetch_width
+        iter(stream), icache, predictor, btb, width=record_config.fetch_width,
+        reach=reach,
     )
     factory = canonical_factory or _canonical_regfile
-    stats = simulate(None, factory, record_config, benchmark_name=name,
-                     frontend=unit)
+    try:
+        stats = simulate(None, factory, record_config, benchmark_name=name,
+                         frontend=unit)
+    except _ReachRecorded:
+        stats = None
     trace = DecodedTrace(
         name=name,
         key=trace_key(workload_id, config),
         workload=dict(workload_id),
         frontend=frontend_fingerprint(config),
-        instructions=stream,
+        instructions=unit.instructions,
         events=unit.events,
     )
     return trace, stats

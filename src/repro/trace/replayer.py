@@ -8,12 +8,16 @@ of running the workload generator, the I-cache, gshare and the BTB.
 Stall and block *timing* is still computed live — it depends on when the
 backend resolves branches — from the per-event stall deltas and the
 blocked-on-branch flags, using exactly the live fetch unit's rules.
+Running off the end of an incomplete (prefix) trace is an error, never a
+stream exhaustion: the replay fetched further than the trace was
+recorded for.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from repro.errors import SimulationError
 from repro.pipeline.processor import simulate
 from repro.pipeline.stats import SimulationStats
 from repro.trace.schema import ENDS_BLOCKED, EXHAUSTS, DecodedTrace
@@ -32,6 +36,7 @@ class TraceReplayer:
         "_groups",
         "_next_event",
         "_num_events",
+        "_complete",
         "_stalled_until",
         "_blocked_seq",
         "_exhausted",
@@ -51,6 +56,7 @@ class TraceReplayer:
         # delivering at a fetch-event boundary instead of event 0.
         self._next_event = start_event
         self._num_events = len(self._groups)
+        self._complete = trace.complete
         self._stalled_until = -1
         self._blocked_seq: Optional[int] = None
         self._exhausted = False
@@ -74,6 +80,12 @@ class TraceReplayer:
             return
         index = self._next_event
         if index >= self._num_events:
+            if not self._complete:
+                trace = self.trace
+                raise SimulationError(
+                    f"replay of {trace.name!r} ran past the end of its "
+                    f"{len(trace.instructions)}-instruction prefix trace"
+                )
             # Mirror the live fetch unit: stream exhaustion is discovered
             # by the fetch call that tries to read past the end.
             self._exhausted = True

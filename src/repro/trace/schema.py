@@ -167,6 +167,29 @@ class DecodedTrace:
     def __len__(self) -> int:
         return len(self.instructions)
 
+    @property
+    def complete(self) -> bool:
+        """Whether the trace covers its whole workload stream.
+
+        A recording bounded by a reach keeps only the prefix its replays
+        can fetch; the ``instructions`` field of the workload identity
+        is the length of the stream it was cut from.  A whole recording
+        may cover more than that field (a caller recording a stream with
+        slack past its declared budget), so coverage is compared with
+        ``>=``.
+        """
+        return len(self.instructions) >= self.workload.get("instructions", 0)
+
+    def serves(self, reach: int) -> bool:
+        """Whether every replay fetching at most ``reach`` instructions
+        stays inside this trace.
+
+        A prefix ends with the event delivering the first instruction
+        past the reach it was recorded for, so it serves any reach below
+        its length; a complete trace serves every reach.
+        """
+        return self.complete or len(self.instructions) > reach
+
     def replay_groups(self) -> list:
         """Per-event replay tuples ``(count, post_stall, hits, misses,
         flags, fetched_group, branch_count)``, built once per process."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.bench.scenarios import (
     simulation_scenarios,
     with_budget,
 )
+from repro.bench.__main__ import build_parser
 from repro.bench.__main__ import main as bench_main
 
 
@@ -176,6 +178,47 @@ class TestCompare:
         with pytest.raises(BenchReportError):
             compare_reports(baseline, baseline, threshold=0.0)
 
+    def test_quick_mismatch_is_not_comparable(self):
+        baseline = _report(1, [_sim_result("headline", 1000, 1.0)])
+        current = replace(_report(2, [_sim_result("headline", 1000, 1.0)]), quick=True)
+        with pytest.raises(BenchReportError, match="quick False vs True"):
+            compare_reports(baseline, current)
+
+    def test_shared_scenario_budget_mismatch_is_not_comparable(self):
+        baseline = _report(1, [_sim_result("headline", 1000, 1.0)])
+        current = _report(2, [_sim_result("headline", 4000, 1.0)])
+        with pytest.raises(BenchReportError, match="headline instructions 1000 vs 4000"):
+            compare_reports(baseline, current)
+
+    def test_shared_scenario_repeats_mismatch_is_not_comparable(self):
+        baseline = _report(1, [_sim_result("headline", 1000, 1.0)])
+        current = _report(2, [replace(_sim_result("headline", 1000, 1.0), repeats=2)])
+        with pytest.raises(BenchReportError, match="headline repeats 1 vs 2"):
+            compare_reports(baseline, current)
+
+    def test_sweep_budget_comes_from_metadata(self):
+        def sweep(instructions):
+            return ScenarioResult(
+                name="sweep/gcc",
+                kind="sweep",
+                wall_seconds=1.0,
+                repeats=1,
+                operations=10,
+                operations_per_second=10.0,
+                metadata={"instructions": instructions},
+            )
+
+        assert compare_reports(_report(1, [sweep(1500)]), _report(2, [sweep(1500)])).ok
+        with pytest.raises(BenchReportError, match="sweep/gcc instructions"):
+            compare_reports(_report(1, [sweep(1500)]), _report(2, [sweep(6000)]))
+
+    def test_unshared_scenarios_need_not_match(self):
+        baseline = _report(1, [_sim_result("headline", 1000, 1.0)])
+        current = _report(
+            2, [_sim_result("headline", 1000, 1.0), _sim_result("fresh", 9000, 1.0)]
+        )
+        assert compare_reports(baseline, current).ok
+
 
 class TestCli:
     def test_cli_list_mode(self, capsys):
@@ -204,6 +247,14 @@ class TestCli:
         cur_path = current.save(str(tmp_path))
         assert bench_main(["compare", base_path, cur_path]) == 1
         assert "REGRESSION" in capsys.readouterr().out
+
+    def test_cli_compare_exits_two_on_budget_mismatch(self, tmp_path, capsys):
+        baseline = _report(1, [_sim_result("headline", 1000, 1.0)])
+        current = replace(_report(2, [_sim_result("headline", 1000, 1.0)]), quick=True)
+        base_path = baseline.save(str(tmp_path))
+        cur_path = current.save(str(tmp_path))
+        assert bench_main(["compare", base_path, cur_path]) == 2
+        assert "not budget-comparable" in capsys.readouterr().err
 
     def test_cli_rejects_bad_repeats(self, capsys):
         assert bench_main(["--repeats", "0"]) == 2
@@ -341,3 +392,19 @@ class TestSampledSweepScenario:
         for field in ("exact_seconds", "sampled_seconds",
                       "per_point_speedup", "sampling", "summary"):
             assert field in result.metadata
+
+
+class TestFilter:
+    def test_cli_filter_accepts_several_values(self):
+        args = build_parser().parse_args(["--filter", "a", "b", "--filter", "c"])
+        assert args.name_filter == ["a", "b", "c"]
+
+    def test_runner_keeps_every_filter(self):
+        runner = BenchmarkRunner(name_filter=["matrix/gcc/1-cycle", "headline"])
+        names = [s.name for s in runner._selected(simulation_scenarios(quick=True))]
+        assert names == ["headline/gcc/register-file-cache", "matrix/gcc/1-cycle"]
+
+    def test_single_string_filter_still_works(self):
+        runner = BenchmarkRunner(name_filter="matrix/swim")
+        names = [s.name for s in runner._selected(simulation_scenarios(quick=True))]
+        assert names and all("matrix/swim" in name for name in names)

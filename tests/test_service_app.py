@@ -318,6 +318,28 @@ class TestRestartResume:
             second.stop()
 
 
+class TestFleetPoll:
+    def test_stale_record_never_reverts_a_completed_job(self, tmp_path):
+        """The executor may complete a job while the poller holds records
+        read before that; the stale queued record must not win."""
+        app = ServiceApp(cache_dir=str(tmp_path), jobs=1)
+        job = app.submit(POINT_SPEC)
+        assert job.state == QUEUED
+        load_all = app.job_store.load_all
+
+        def load_then_complete():
+            records = load_all()
+            # The local executor finishes between the read and the
+            # poller's state comparison.
+            assert job.mark_completed({"points": []}, {"executed": 0})
+            return records
+
+        app.job_store.load_all = load_then_complete
+        app._fleet_poll_once()
+        assert job.state == COMPLETED
+        assert app.get_job(job.id).result == {"points": []}
+
+
 class TestDrain:
     def test_stop_then_start_still_executes(self, tmp_path):
         """A stopped app can be started again on the same instance."""

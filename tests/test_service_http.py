@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.service import ServiceApp, ServiceClient, ServiceError, build_server
+from repro.service import client as client_module
 from repro.service.__main__ import main as service_main
 from repro.service.jobs import COMPLETED
 
@@ -265,3 +267,55 @@ class TestWatchBackoff:
         final = client.watch("j0", interval=0.1, _sleep=sleeps.append)
         assert final["state"] == COMPLETED
         assert sleeps == []
+
+
+class TestWatchPhases:
+    """The phase pump can lag the status poll (a client starved of CPU);
+    ``watch`` must still deliver every phase up to the terminal one
+    before it returns, and none after its grace period."""
+
+    @staticmethod
+    def _finished_client(events):
+        client = ServiceClient("http://127.0.0.1:1")  # never dialled
+        client.status = lambda job_id: {
+            "id": "j0", "state": COMPLETED, "points": {"completed": 1},
+        }
+        client.events = events
+        return client
+
+    @staticmethod
+    def _phase(phase):
+        return {"kind": "job_phase", "job_id": "j0", "phase": phase}
+
+    def test_terminal_phase_is_delivered_when_the_pump_lags(self):
+        def lagging_events(since=0, stop_on_idle=False):
+            for phase in ("queued", "leased", "running", COMPLETED):
+                time.sleep(0.05)
+                yield self._phase(phase)
+
+        phases = []
+        self._finished_client(lagging_events).watch(
+            "j0", interval=0.01, on_phase=lambda e: phases.append(e["phase"])
+        )
+        assert phases == ["queued", "leased", "running", COMPLETED]
+
+    def test_no_phase_is_delivered_after_the_grace_period(self, monkeypatch):
+        monkeypatch.setattr(client_module, "PHASE_GRACE_SECONDS", 0.1)
+        released = threading.Event()
+        drained = threading.Event()
+
+        def stalled_events(since=0, stop_on_idle=False):
+            yield self._phase("queued")
+            released.wait(5.0)
+            try:
+                yield self._phase(COMPLETED)
+            finally:
+                drained.set()
+
+        phases = []
+        self._finished_client(stalled_events).watch(
+            "j0", interval=0.01, on_phase=lambda e: phases.append(e["phase"])
+        )
+        released.set()
+        assert drained.wait(5.0)
+        assert COMPLETED not in phases

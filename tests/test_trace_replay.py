@@ -329,3 +329,169 @@ class TestReplayIsNotAConfigField:
         replayed = run_simulation_point(point, trace)
         assert replayed.to_dict() == live.to_dict()
         assert replayed.occupancy_needed  # the distribution was collected
+
+
+class TestPrefixRecording:
+    """A group's trace is recorded only as far as its replays can fetch.
+
+    The points below commit 600 instructions of a 2000-instruction
+    stream (the rest is warm-up slack), so their reach — and their
+    recording — stops well short of the stream end.
+    """
+
+    @staticmethod
+    def _point(name="monolithic-1c", sampling=None, **overrides):
+        config = ProcessorConfig(max_instructions=600).with_overrides(**overrides)
+        return SimulationPoint(
+            benchmark="gcc", factory=validation_matrix()[name],
+            architecture=name, config=config, warmup_instructions=N - 600,
+            sampling=sampling,
+        )
+
+    @pytest.fixture(scope="class")
+    def prefix_trace(self):
+        from repro.experiments.scheduler import record_point_trace
+
+        trace, stats = record_point_trace(self._point())
+        assert stats is None  # a stopped recording run has no result
+        return trace
+
+    def test_reach_bounds_the_recording(self, prefix_trace, gcc_trace):
+        reach = self._point().trace_reach()
+        assert reach == 600 + 128 + 16 + 8
+        assert prefix_trace.key == gcc_trace.key
+        assert not prefix_trace.complete and gcc_trace.complete
+        assert reach < len(prefix_trace) < N
+        # The prefix is bit-identical to the head of the full recording.
+        events = prefix_trace.events
+        assert events == gcc_trace.events[:len(events)]
+        assert (prefix_trace.instructions
+                == gcc_trace.instructions[:len(prefix_trace)])
+
+    @pytest.mark.parametrize("name", sorted(validation_matrix()))
+    def test_prefix_replay_matches_full_replay(self, prefix_trace, gcc_trace,
+                                               name):
+        point = self._point(name)
+        from_prefix = run_simulation_point(point, prefix_trace)
+        from_full = run_simulation_point(point, gcc_trace)
+        assert from_prefix.to_dict() == from_full.to_dict()
+        assert from_prefix.fetched_instructions <= point.trace_reach()
+
+    def test_replay_past_an_incomplete_trace_raises(self, prefix_trace):
+        from repro.errors import SimulationError
+
+        config = ProcessorConfig(max_instructions=N)
+        with pytest.raises(SimulationError, match="prefix trace"):
+            replay_simulate(prefix_trace, validation_matrix()["monolithic-1c"],
+                            config)
+
+    def test_sampled_and_harvest_points_record_the_whole_stream(self):
+        from repro.sampling.spec import SamplingSpec
+
+        sampled = self._point(sampling=SamplingSpec(stride=500, window=100))
+        assert sampled.trace_reach() == N
+        harvest = SimulationPoint(
+            benchmark="gcc", factory=validation_matrix()["rfc-ready"],
+            architecture="rfc-ready", config=ProcessorConfig(max_instructions=N),
+        )
+        assert harvest.trace_reach() == N
+
+    def test_zero_warmup_harvest_returns_live_stats(self):
+        from repro.experiments.scheduler import record_point_trace
+
+        point = SimulationPoint(
+            benchmark="swim", factory=validation_matrix()["rfc-ready"],
+            architecture="rfc-ready", config=ProcessorConfig(max_instructions=700),
+        )
+        trace, harvested = record_point_trace(point)
+        assert trace.complete
+        assert harvested is not None
+        assert harvested.to_dict() == run_simulation_point(point).to_dict()
+
+    def _assert_live(self, store, points):
+        for point in points:
+            live = run_simulation_point(point)
+            assert store.get(point.store_key()).to_dict() == live.to_dict()
+
+    def test_larger_rob_rerecords_a_stored_prefix(self):
+        traces = TraceStore(None)
+        small = self._point()
+        first = execute_points([small], ResultStore(), trace_store=traces)
+        assert first["traces_recorded"] == 1
+        stored = traces.get(small.trace_key())
+        assert not stored.serves(self._point(rob_size=512).trace_reach())
+
+        large = self._point("rfc-non-bypass", rob_size=512)
+        assert large.trace_key() == small.trace_key()
+        store = ResultStore()
+        summary = execute_points([large], store, trace_store=traces)
+        assert summary["traces_recorded"] == 1
+        assert summary["traces_reused"] == 0
+        assert traces.get(large.trace_key()).serves(large.trace_reach())
+        self._assert_live(store, [large])
+
+        # The longer trace now serves the small point's group as well.
+        again = execute_points([self._point("banked-4x2r2w")], ResultStore(),
+                               trace_store=traces)
+        assert again["traces_reused"] == 1
+
+    def test_sampled_point_rerecords_a_stored_prefix(self):
+        from repro.sampling.spec import SamplingSpec
+
+        traces = TraceStore(None)
+        execute_points([self._point()], ResultStore(), trace_store=traces)
+        sampled = self._point(sampling=SamplingSpec(stride=500, window=100))
+        store = ResultStore()
+        summary = execute_points([sampled], store, trace_store=traces)
+        assert summary["traces_recorded"] == 1
+        assert traces.get(sampled.trace_key()).complete
+        self._assert_live(store, [sampled])
+
+    def test_worker_cache_and_disk_fallback_rerecord_short_prefixes(
+        self, prefix_trace, tmp_path
+    ):
+        from repro.experiments import scheduler
+
+        large = self._point(rob_size=512)
+        key = large.trace_key()
+        saved = dict(scheduler._WORKER_TRACES)
+        try:
+            scheduler._WORKER_TRACES.clear()
+            scheduler._WORKER_TRACES[key] = prefix_trace
+            cached = scheduler._worker_trace(key, None, None, [large])
+            assert cached.serves(large.trace_reach())
+
+            scheduler._WORKER_TRACES.clear()
+            TraceStore(str(tmp_path)).put(prefix_trace)
+            loaded = scheduler._worker_trace(key, None, str(tmp_path), [large])
+            assert loaded.serves(large.trace_reach())
+            assert scheduler._WORKER_TRACES[key] is loaded
+        finally:
+            scheduler._WORKER_TRACES.clear()
+            scheduler._WORKER_TRACES.update(saved)
+
+    @pytest.mark.parametrize("on_disk", [True, False])
+    def test_parallel_prefix_replay_matches_serial(self, tmp_path, on_disk):
+        from repro.experiments.scheduler import shutdown_pool
+
+        points = [self._point(name) for name in sorted(validation_matrix())[:3]]
+        points.append(self._point("rfc-ready", rob_size=256))
+        points.append(SimulationPoint(
+            benchmark="swim", factory=validation_matrix()["monolithic-1c"],
+            architecture="monolithic-1c",
+            config=ProcessorConfig(max_instructions=500),
+            warmup_instructions=1500,
+        ))
+        serial_store = ResultStore()
+        execute_points(points, serial_store, jobs=1)
+        parallel_store = ResultStore(cache_dir=str(tmp_path) if on_disk else None)
+        try:
+            summary = execute_points(points, parallel_store, jobs=2)
+        finally:
+            shutdown_pool()
+        assert summary["executed"] == len(points)
+        assert summary["traces_recorded"] == 2
+        for point in points:
+            key = point.store_key()
+            assert (parallel_store.get(key).to_dict()
+                    == serial_store.get(key).to_dict()), point.architecture
