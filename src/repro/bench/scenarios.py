@@ -8,11 +8,12 @@ Three kinds of scenarios:
   register file cache) is the number the single-run performance work is
   judged by.
 * **sweep scenarios** — a figure-style sweep (one workload through a
-  matrix of register-file architectures × register budgets) executed
-  through the experiment scheduler, measured in points/minute.  The
-  ``replay`` variant exercises the trace-once/replay-many engine, the
-  ``live`` variant the per-point live frontend it replaced — their ratio
-  is the sweep-throughput headline.
+  matrix of register-file architectures × register budgets), measured
+  in points/minute.  The ``replay`` variant runs the experiment
+  scheduler's trace-once/replay-many engine, the ``live`` variant the
+  reference loop it replaced (every point with its own workload
+  generation and frontend) — their ratio is the sweep-throughput
+  headline.
 * **service scenarios** — a figure plan pushed through the sweep
   service's full HTTP path (submit via :class:`ServiceClient`, execute
   on the service's :class:`~repro.experiments.scheduler.SweepEngine`,
@@ -39,7 +40,11 @@ from repro.experiments.common import (
     RegisterFileCacheFactory,
     SingleBankedFactory,
 )
-from repro.experiments.scheduler import SimulationPoint, execute_points
+from repro.experiments.scheduler import (
+    SimulationPoint,
+    SweepEngine,
+    run_simulation_point,
+)
 from repro.experiments.store import ResultStore
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.processor import simulate
@@ -187,12 +192,13 @@ _SWEEP_REGISTER_BUDGETS = (128, 64)
 
 @dataclass(frozen=True)
 class SweepScenario:
-    """One figure-style sweep through the experiment scheduler.
+    """One figure-style sweep, replayed or live.
 
     All points share one (workload, frontend configuration), so the
-    trace-replay engine records once and replays the whole matrix; the
-    ``live`` variant runs the identical matrix with per-point workload
-    generation and a live frontend.  The primary metric is
+    scheduler's trace-replay engine records once and replays the whole
+    matrix; the ``live`` variant runs the identical matrix through
+    :func:`run_simulation_point` without a trace, so every point pays
+    its own workload generation and frontend.  The primary metric is
     points/minute over the full sweep, scheduler included.
     """
 
@@ -225,9 +231,13 @@ class SweepScenario:
         """Execute the sweep cold (fresh stores) and digest every result."""
         points = self.points()
         store = ResultStore()
-        summary = execute_points(
-            points, store, jobs=1, use_trace_replay=self.use_trace_replay
-        )
+        if self.use_trace_replay:
+            summary = SweepEngine(store=store, jobs=1).execute(points)
+        else:
+            for point in points:
+                store.put(point.store_key(), run_simulation_point(point),
+                          metadata=point.metadata())
+            summary = {"requested": len(points), "executed": len(points)}
         digest = hashlib.sha256()
         for point in points:
             stats = store.get(point.store_key())
@@ -371,9 +381,8 @@ def sweep_scenarios(quick: bool = False) -> List[SweepScenario]:
     Two benchmarks bracket the engine's win: ``fpppp`` (FP; the heaviest
     workload generation, so trace-once amortizes the most — the sweep
     headline) and ``gcc`` (INT; generation-light, the conservative end).
-    Each also runs in ``live`` mode — the identical matrix through the
-    pre-trace-engine execution model — so every report carries its own
-    like-for-like ratio.
+    Each also runs in ``live`` mode — the identical matrix without a
+    trace — so every report carries its own like-for-like ratio.
     """
     budget = 1500 if quick else 6000
     scenarios = []
@@ -397,6 +406,69 @@ def sweep_scenarios(quick: bool = False) -> List[SweepScenario]:
 # ----------------------------------------------------------------------
 
 
+def _service_pass(figure: str, settings: dict, **app_kwargs) -> Dict[str, object]:
+    """Push one figure plan through a cold in-process sweep service.
+
+    Boots a service on a fresh cache tree and a free port, submits the
+    plan with the client, watches it to completion, digests the result
+    and tears everything down.  ``app_kwargs`` go to
+    :class:`~repro.service.app.ServiceApp`.  Returns the job's
+    ``counters``, its unique ``points``, the submit-to-completion
+    ``wall_seconds`` and the result ``digest``.
+    """
+    import shutil
+    import tempfile
+    import threading
+    import time
+
+    from repro.errors import SimulationError
+    from repro.service.app import ServiceApp
+    from repro.service.client import ServiceClient
+    from repro.service.server import build_server
+
+    tmp = tempfile.mkdtemp(prefix="repro-bench-service-")
+    app = ServiceApp(cache_dir=tmp, jobs=1, job_concurrency=1, **app_kwargs)
+    server = build_server(app, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    app.start()
+    try:
+        client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
+        started = time.perf_counter()
+        job = client.submit({"figure": figure, "settings": settings})
+        final = client.watch(job["id"], interval=0.05, timeout=1800)
+        wall = time.perf_counter() - started
+        if final.get("state") != "completed":
+            raise SimulationError(
+                f"service bench job did not complete: {final.get('error')}"
+            )
+        result = client.result(job["id"])
+        digest = hashlib.sha256(
+            json.dumps(result["result"], sort_keys=True,
+                       separators=(",", ":"), default=str).encode("utf-8")
+        ).hexdigest()
+        return {
+            "points": int(final["counters"]["unique"]),
+            "counters": final["counters"],
+            "wall_seconds": wall,
+            "digest": digest,
+        }
+    finally:
+        server.shutdown()
+        server.server_close()
+        app.stop()
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _plan_settings(scenario) -> dict:
+    """The submission ``settings`` of a service scenario's figure plan."""
+    return {
+        "instructions": scenario.instructions,
+        "warmup_instructions": scenario.warmup_instructions,
+        "benchmarks": list(scenario.benchmarks),
+    }
+
+
 @dataclass(frozen=True)
 class ServiceScenario:
     """One figure plan through the sweep service's full HTTP path.
@@ -415,53 +487,12 @@ class ServiceScenario:
     benchmarks: tuple
 
     def run(self) -> Dict[str, object]:
-        import shutil
-        import tempfile
-        import threading
-
-        from repro.errors import SimulationError
-        from repro.service.app import ServiceApp
-        from repro.service.client import ServiceClient
-        from repro.service.server import build_server
-
-        tmp = tempfile.mkdtemp(prefix="repro-bench-service-")
-        app = ServiceApp(cache_dir=tmp, jobs=1, job_concurrency=1)
-        server = build_server(app, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        app.start()
-        try:
-            client = ServiceClient(
-                f"http://127.0.0.1:{server.server_address[1]}"
-            )
-            job = client.submit({
-                "figure": self.figure,
-                "settings": {
-                    "instructions": self.instructions,
-                    "warmup_instructions": self.warmup_instructions,
-                    "benchmarks": list(self.benchmarks),
-                },
-            })
-            final = client.watch(job["id"], interval=0.05, timeout=1800)
-            if final.get("state") != "completed":
-                raise SimulationError(
-                    f"service bench job did not complete: {final.get('error')}"
-                )
-            result = client.result(job["id"])
-            digest = hashlib.sha256(
-                json.dumps(result["result"], sort_keys=True,
-                           separators=(",", ":"), default=str).encode("utf-8")
-            ).hexdigest()
-            return {
-                "points": int(final["counters"]["unique"]),
-                "summary": final["counters"],
-                "stats_digest": digest,
-            }
-        finally:
-            server.shutdown()
-            server.server_close()
-            app.stop()
-            shutil.rmtree(tmp, ignore_errors=True)
+        outcome = _service_pass(self.figure, _plan_settings(self))
+        return {
+            "points": outcome["points"],
+            "summary": outcome["counters"],
+            "stats_digest": outcome["digest"],
+        }
 
     def metadata(self) -> Dict[str, object]:
         return {
@@ -493,59 +524,6 @@ class ResilienceOverheadScenario:
     warmup_instructions: int
     benchmarks: tuple
 
-    def _one_pass(self) -> Dict[str, object]:
-        import shutil
-        import tempfile
-        import threading
-        import time as time_mod
-
-        from repro.errors import SimulationError
-        from repro.service.app import ServiceApp
-        from repro.service.client import ServiceClient
-        from repro.service.server import build_server
-
-        tmp = tempfile.mkdtemp(prefix="repro-bench-resilience-")
-        app = ServiceApp(cache_dir=tmp, jobs=1, job_concurrency=1)
-        server = build_server(app, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        app.start()
-        try:
-            client = ServiceClient(
-                f"http://127.0.0.1:{server.server_address[1]}"
-            )
-            started = time_mod.perf_counter()
-            job = client.submit({
-                "figure": self.figure,
-                "settings": {
-                    "instructions": self.instructions,
-                    "warmup_instructions": self.warmup_instructions,
-                    "benchmarks": list(self.benchmarks),
-                },
-            })
-            final = client.watch(job["id"], interval=0.05, timeout=1800)
-            wall = time_mod.perf_counter() - started
-            if final.get("state") != "completed":
-                raise SimulationError(
-                    f"resilience bench job did not complete: "
-                    f"{final.get('error')}"
-                )
-            result = client.result(job["id"])
-            digest = hashlib.sha256(
-                json.dumps(result["result"], sort_keys=True,
-                           separators=(",", ":"), default=str).encode("utf-8")
-            ).hexdigest()
-            return {
-                "points": int(final["counters"]["unique"]),
-                "wall_seconds": wall,
-                "digest": digest,
-            }
-        finally:
-            server.shutdown()
-            server.server_close()
-            app.stop()
-            shutil.rmtree(tmp, ignore_errors=True)
-
     def run(self) -> Dict[str, object]:
         from repro.chaos import seams
         from repro.chaos.faults import FaultInjector
@@ -555,10 +533,11 @@ class ResilienceOverheadScenario:
             raise SimulationError(
                 "resilience bench needs the chaos seams disabled at entry"
             )
-        disabled = self._one_pass()
+        settings = _plan_settings(self)
+        disabled = _service_pass(self.figure, settings)
         seams.install(FaultInjector([]))
         try:
-            instrumented = self._one_pass()
+            instrumented = _service_pass(self.figure, settings)
         finally:
             seams.uninstall()
         if disabled["digest"] != instrumented["digest"]:
@@ -623,63 +602,15 @@ class ObsOverheadScenario:
     pairs: int = 3
 
     def _one_pass(self, full_telemetry: bool) -> Dict[str, object]:
-        import shutil
-        import tempfile
-        import threading
-        import time as time_mod
-
-        from repro.errors import SimulationError
         from repro.obs.metrics import MetricsRegistry
         from repro.obs.telemetry import Telemetry
-        from repro.service.app import ServiceApp
-        from repro.service.client import ServiceClient
-        from repro.service.server import build_server
 
-        tmp = tempfile.mkdtemp(prefix="repro-bench-obs-")
         telemetry = (
             None if full_telemetry  # the app builds log + bus itself
             else Telemetry(registry=MetricsRegistry())
         )
-        app = ServiceApp(cache_dir=tmp, jobs=1, job_concurrency=1,
-                         telemetry=telemetry)
-        server = build_server(app, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        app.start()
-        try:
-            client = ServiceClient(
-                f"http://127.0.0.1:{server.server_address[1]}"
-            )
-            started = time_mod.perf_counter()
-            job = client.submit({
-                "figure": self.figure,
-                "settings": {
-                    "instructions": self.instructions,
-                    "warmup_instructions": self.warmup_instructions,
-                    "benchmarks": list(self.benchmarks),
-                },
-            })
-            final = client.watch(job["id"], interval=0.05, timeout=1800)
-            wall = time_mod.perf_counter() - started
-            if final.get("state") != "completed":
-                raise SimulationError(
-                    f"obs bench job did not complete: {final.get('error')}"
-                )
-            result = client.result(job["id"])
-            digest = hashlib.sha256(
-                json.dumps(result["result"], sort_keys=True,
-                           separators=(",", ":"), default=str).encode("utf-8")
-            ).hexdigest()
-            return {
-                "points": int(final["counters"]["unique"]),
-                "wall_seconds": wall,
-                "digest": digest,
-            }
-        finally:
-            server.shutdown()
-            server.server_close()
-            app.stop()
-            shutil.rmtree(tmp, ignore_errors=True)
+        return _service_pass(self.figure, _plan_settings(self),
+                             telemetry=telemetry)
 
     def run(self) -> Dict[str, object]:
         from repro.errors import SimulationError

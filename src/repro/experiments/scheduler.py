@@ -205,25 +205,17 @@ def record_point_trace(point: SimulationPoint, reach: Optional[int] = None):
     return trace, (stats if harvest else None)
 
 
-def build_point_trace(
-    point: SimulationPoint, reach: Optional[int] = None
-) -> DecodedTrace:
-    """Record the decoded trace that drives ``point``'s sweep group."""
-    trace, _ = record_point_trace(point, reach)
-    return trace
-
-
 def run_simulation_point(
     point: SimulationPoint, trace: Optional[DecodedTrace] = None
 ) -> SimulationStats:
-    """Simulate one point (also the worker-process entry).
+    """Simulate one point.
 
     With ``trace`` the point is replayed (bit-identical, no workload
     generation or frontend); without it the point runs live from
-    scratch, exactly as before the trace engine existed.  A point with a
-    :class:`~repro.sampling.SamplingSpec` is estimated by systematic
-    interval sampling over the trace instead (recorded here on demand —
-    the sampling engine is trace-driven by construction).
+    scratch, the reference every replay is tested against.  A point
+    with a :class:`~repro.sampling.SamplingSpec` is estimated by
+    systematic interval sampling over the trace instead (recorded here
+    on demand — the sampling engine is trace-driven by construction).
     """
     if _seams.active is not None:
         # Chaos seam: slow / hung / crashing worker faults land here,
@@ -238,7 +230,7 @@ def run_simulation_point(
         from repro.sampling.engine import sampled_simulate
 
         if trace is None:
-            trace = build_point_trace(point)
+            trace = record_point_trace(point)[0]
         return sampled_simulate(
             trace, point.factory, point.config, point.sampling,
             benchmark_name=point.benchmark,
@@ -249,12 +241,6 @@ def run_simulation_point(
         )
     return simulate(build_point_stream(point), point.factory, point.config,
                     benchmark_name=point.benchmark)
-
-
-def _execute_remote(point: SimulationPoint) -> dict:
-    """Worker wrapper: ship the stats back as a plain dictionary."""
-    _obs_profile.maybe_enable_worker()
-    return run_simulation_point(point).to_dict()
 
 
 def dedupe_points(points: Iterable[SimulationPoint]) -> Dict[str, SimulationPoint]:
@@ -290,7 +276,7 @@ def pool_resets() -> int:
 def warm_pool(jobs: int) -> ProcessPoolExecutor:
     """The persistent worker pool (created lazily, resized on demand).
 
-    Reusing one pool across ``execute_points`` calls keeps workers —
+    Reusing one pool across ``SweepEngine.execute`` calls keeps workers —
     and their per-process decoded-trace caches — warm for the whole
     runner invocation instead of paying process spawn per figure.
     """
@@ -475,7 +461,7 @@ def _worker_trace(key: str, payload: Optional[dict],
         if trace is None or not trace.serves(reach):
             # Disk entry vanished, was corrupt or holds a shorter prefix
             # than these points need: re-record locally.
-            trace = build_point_trace(points[0], reach)
+            trace = record_point_trace(points[0], reach)[0]
         _keep_worker_trace(trace)
     return trace
 
@@ -563,7 +549,6 @@ class SweepEngine:
         self,
         store: Optional[ResultStore] = None,
         jobs: int = 1,
-        use_trace_replay: bool = True,
         trace_store: Optional[TraceStore] = None,
         claim_ttl: float = DEFAULT_CLAIM_TTL,
         claim_poll_interval: float = 0.05,
@@ -571,7 +556,6 @@ class SweepEngine:
     ) -> None:
         self.store = store if store is not None else ResultStore()
         self.jobs = jobs
-        self.use_trace_replay = use_trace_replay
         self.trace_store = (
             trace_store if trace_store is not None
             else TraceStore(self.store.cache_dir)
@@ -682,11 +666,7 @@ class SweepEngine:
         Returns a summary dictionary (``requested``, ``unique``,
         ``cached``, ``executed``, ``shared_inflight``,
         ``traces_recorded``, ``traces_reused``, ``elapsed_seconds``)
-        that callers log or attach to job records.  With
-        ``use_trace_replay=False`` (the ``--no-trace-replay`` escape
-        hatch) every point runs live with its own workload generation
-        and frontend, as the engine did before the trace subsystem
-        existed.
+        that callers log or attach to job records.
         """
         started = time.time()
         points = list(points)
@@ -723,7 +703,6 @@ class SweepEngine:
             + (f", {len(shared)} in flight elsewhere" if shared else "")
             + (f", {len(remote)} claimed by other replicas" if remote else "")
             + (f" on {self.jobs} workers" if self.jobs > 1 and owned else "")
-            + ("" if self.use_trace_replay or not owned else " (live frontend)")
         )
 
         done = 0
@@ -862,34 +841,6 @@ class SweepEngine:
     ) -> None:
         """Simulate every point in ``pending`` and record the results."""
         jobs = self.jobs
-
-        if not self.use_trace_replay:
-            pending_items = list(pending.items())
-
-            def on_result(index: int, payload) -> None:
-                key, point = pending_items[index]
-                stats = (
-                    SimulationStats.from_dict(payload) if isinstance(payload, dict)
-                    else payload
-                )
-                record(key, point, stats)
-
-            def live_worker(point: SimulationPoint) -> SimulationStats:
-                with self._point_histogram.time(), _maybe_span(
-                    self.telemetry, "point.simulate", strategy="live",
-                    benchmark=point.benchmark,
-                ):
-                    return run_simulation_point(point)
-
-            fan_out(
-                [point for _, point in pending_items],
-                worker=live_worker,
-                jobs=jobs,
-                remote_worker=_execute_remote,
-                on_result=on_result,
-            )
-            return
-
         traces = self.trace_store
 
         # Group the pending points by the decoded trace that can drive
@@ -1036,26 +987,3 @@ class SweepEngine:
                 jobs=jobs,
                 on_result=on_batch,
             )
-
-
-def execute_points(
-    points: Sequence[SimulationPoint],
-    store: ResultStore,
-    jobs: int = 1,
-    progress: Optional[ProgressCallback] = None,
-    use_trace_replay: bool = True,
-    trace_store: Optional[TraceStore] = None,
-) -> Dict[str, int]:
-    """Ensure every point's result is present in ``store``.
-
-    One-shot convenience over :class:`SweepEngine` for callers without a
-    long-lived engine; see :meth:`SweepEngine.execute` for the returned
-    summary dictionary.
-    """
-    engine = SweepEngine(
-        store=store,
-        jobs=jobs,
-        use_trace_replay=use_trace_replay,
-        trace_store=trace_store,
-    )
-    return engine.execute(points, progress=progress)

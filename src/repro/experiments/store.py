@@ -35,7 +35,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.stats import SimulationStats
-from repro.storage import ShardedStore, migrate_legacy_files
+from repro.storage import ShardedStore
 
 #: Bump when the on-disk payload layout changes; mismatching entries are
 #: treated as cache misses rather than errors.
@@ -98,20 +98,6 @@ def simulation_key(
     return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-def _valid_result_payload(key: str, raw: bytes) -> bool:
-    """Whether raw bytes are a sane (legacy or current) result envelope."""
-    try:
-        payload = json.loads(raw.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
-        return False
-    return (
-        isinstance(payload, dict)
-        and payload.get("schema") == SCHEMA_VERSION
-        and payload.get("key") == key
-        and "stats" in payload
-    )
-
-
 class ResultStore:
     """In-memory dictionary of results, optionally backed by a directory.
 
@@ -148,10 +134,6 @@ class ResultStore:
                 os.path.join(cache_dir, RESULT_SUBDIR),
                 ttl_seconds=ttl_seconds,
                 max_bytes=max_bytes,
-            )
-            # Import any pre-segment-log file-per-point tree, byte for byte.
-            migrate_legacy_files(
-                cache_dir, ".json", self._disk.put, _valid_result_payload
             )
 
     # ------------------------------------------------------------------

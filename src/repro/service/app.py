@@ -108,7 +108,6 @@ class ServiceApp:
         cache_dir: Optional[str] = None,
         jobs: int = 1,
         job_concurrency: int = 1,
-        use_trace_replay: bool = True,
         progress: Optional[ProgressCallback] = None,
         replica_id: Optional[str] = None,
         lease_ttl: float = DEFAULT_LEASE_TTL,
@@ -153,7 +152,6 @@ class ServiceApp:
         self.engine = SweepEngine(
             store=self.store,
             jobs=jobs,
-            use_trace_replay=use_trace_replay,
             trace_store=self.trace_store,
             telemetry=self.telemetry,
             **engine_kwargs,
@@ -926,7 +924,6 @@ class ServiceApp:
             "engine": {
                 "jobs": self.engine.jobs,
                 "job_concurrency": self.job_concurrency,
-                "use_trace_replay": self.engine.use_trace_replay,
                 **engine_totals,
             },
             "job_store": {

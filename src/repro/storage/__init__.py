@@ -2,9 +2,8 @@
 
 This package is the persistence layer shared by the result store, the
 trace store and the service fleet: :mod:`repro.storage.segment` frames
-individual records, :mod:`repro.storage.sharded` provides the
-sharded/compacting :class:`~repro.storage.sharded.ShardedStore`, and
-:mod:`repro.storage.migrate` imports legacy file-per-entry cache trees.
+individual records and :mod:`repro.storage.sharded` provides the
+sharded/compacting :class:`~repro.storage.sharded.ShardedStore`.
 
 Protocol invariants (the full narrative is ``docs/storage.md``):
 
@@ -35,7 +34,6 @@ Protocol invariants (the full narrative is ``docs/storage.md``):
   top with the same TTL discipline).
 """
 
-from repro.storage.migrate import migrate_legacy_files
 from repro.storage.sharded import ShardedStore
 
-__all__ = ["ShardedStore", "migrate_legacy_files"]
+__all__ = ["ShardedStore"]

@@ -52,9 +52,9 @@ def _canonical_regfile() -> SingleBankedRegisterFile:
     times), which could in principle flip an aliased prediction near a
     saturation boundary.  Empirically it never does across the full
     architecture matrix and severe backend perturbations —
-    ``tests/test_trace_replay.py`` re-verifies the bit-identity contract
-    on every run, and ``--no-trace-replay`` is the escape hatch should a
-    workload ever hit the corner.
+    ``tests/test_trace_replay.py`` and
+    ``tests/test_validate_differential.py`` re-verify the bit-identity
+    contract (replay == live) on every tier-1 run.
     """
     return SingleBankedRegisterFile(latency=1, bypass_levels=1)
 

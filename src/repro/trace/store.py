@@ -9,8 +9,7 @@ trace payload is gzip-compressed JSON appended to a segment log, and
 when the store outgrows ``max_bytes`` the oldest traces are evicted at
 compaction — traces are pure derived data, so evicting one only costs a
 re-decode.  Unreadable, corrupt or schema-mismatching payloads are
-treated as cache misses.  Legacy file-per-trace trees
-(``traces/<key>.json.gz``) are imported byte for byte on first open.
+treated as cache misses.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import threading
 from typing import Dict, Optional
 
 from repro.errors import SimulationError
-from repro.storage import ShardedStore, migrate_legacy_files
+from repro.storage import ShardedStore
 from repro.trace.schema import DecodedTrace
 
 #: Subdirectory of the cache dir reserved for traces.
@@ -34,15 +33,6 @@ TRACE_SUBDIR = "traces"
 #: cache tree from growing without limit (oldest traces are evicted
 #: first and simply get re-decoded on next use).
 DEFAULT_TRACE_MAX_BYTES = 1 << 30
-
-
-def _valid_trace_blob(key: str, raw: bytes) -> bool:
-    """Whether raw bytes are a plausible gzip'd trace payload for ``key``."""
-    try:
-        payload = json.loads(gzip.decompress(raw).decode("utf-8"))
-    except (OSError, ValueError, EOFError, UnicodeDecodeError):
-        return False
-    return isinstance(payload, dict) and payload.get("key") == key
 
 
 class TraceStore:
@@ -70,10 +60,6 @@ class TraceStore:
         if self.trace_dir:
             os.makedirs(self.trace_dir, exist_ok=True)
             self._disk = ShardedStore(self.trace_dir, max_bytes=max_bytes)
-            # Import any pre-segment-log file-per-trace tree, byte for byte.
-            migrate_legacy_files(
-                self.trace_dir, ".json.gz", self._disk.put, _valid_trace_blob
-            )
 
     # ------------------------------------------------------------------
 

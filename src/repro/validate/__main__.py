@@ -71,10 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="ARCHITECTURE:COMMIT_INDEX",
                         help="corrupt one architecture's observed commit stream "
                              "(self-test of the detector; the run must fail)")
-    parser.add_argument("--no-trace-replay", action="store_true",
-                        help="run each architecture with its own live frontend "
-                             "instead of replaying one recorded decoded trace "
-                             "(slower; results are bit-identical either way)")
     parser.add_argument("--sampled-accuracy", action="store_true",
                         help="instead of fuzzing, replay the architecture "
                              "matrix both exactly and sampled and fail if any "
@@ -156,7 +152,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             checkpoint_interval=args.checkpoint_interval,
             fault=fault,
             progress=progress,
-            use_trace_replay=not args.no_trace_replay,
         )
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)

@@ -26,7 +26,6 @@ from repro.experiments.common import (
     SingleBankedFactory,
 )
 from repro.pipeline.config import ProcessorConfig
-from repro.pipeline.processor import simulate
 from repro.trace import record_trace, replay_simulate
 from repro.validate.faults import FaultInjectingObserver, InjectedFault
 from repro.validate.observer import DEFAULT_CHECKPOINT_INTERVAL, CommitObserver
@@ -136,18 +135,16 @@ def run_differential(
     checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
     fault: Optional[InjectedFault] = None,
     repro: str = "",
-    use_trace_replay: bool = True,
 ) -> ScenarioValidation:
     """Replay ``trace`` through every architecture and diff against the oracle.
 
     ``config.max_instructions`` bounds the committed prefix; every
     architecture and the oracle consume exactly the same prefix of the
-    same materialized trace.  By default the frontend (fetch grouping,
-    branch prediction, I-cache) runs **once** through the shared
+    same materialized trace.  The frontend (fetch grouping, branch
+    prediction, I-cache) runs **once** through the shared
     :mod:`repro.trace` recorder and every architecture replays the
-    decoded stream; ``use_trace_replay=False`` (the CLI's
-    ``--no-trace-replay``) runs each architecture with its own live
-    frontend instead — results are bit-identical either way.  ``fault``
+    decoded stream, bit-identical to a live run of each architecture
+    (``tests/test_validate_differential.py`` checks both).  ``fault``
     (test use only, see :mod:`repro.validate.faults`) corrupts the
     observation of one architecture so the detection machinery itself
     can be verified.
@@ -161,18 +158,16 @@ def run_differential(
             f"(known: {', '.join(matrix)})"
         )
 
-    decoded = None
-    if use_trace_replay:
-        decoded = record_trace(
-            trace.name,
-            iter(trace),
-            config,
-            {
-                "kind": "validate-scenario",
-                "name": trace.name,
-                "instructions": len(trace),
-            },
-        )
+    decoded = record_trace(
+        trace.name,
+        iter(trace),
+        config,
+        {
+            "kind": "validate-scenario",
+            "name": trace.name,
+            "instructions": len(trace),
+        },
+    )
 
     oracle = run_oracle(
         iter(trace), config.max_instructions, checkpoint_interval=checkpoint_interval
@@ -192,22 +187,13 @@ def run_differential(
         else:
             observer = CommitObserver(checkpoint_interval=checkpoint_interval)
         try:
-            if decoded is not None:
-                stats = replay_simulate(
-                    decoded,
-                    factory,
-                    config,
-                    benchmark_name=trace.name,
-                    commit_observer=observer,
-                )
-            else:
-                stats = simulate(
-                    iter(trace),
-                    factory,
-                    config,
-                    benchmark_name=trace.name,
-                    commit_observer=observer,
-                )
+            stats = replay_simulate(
+                decoded,
+                factory,
+                config,
+                benchmark_name=trace.name,
+                commit_observer=observer,
+            )
         except SimulationError as error:
             result.outcomes.append(
                 ArchitectureOutcome(architecture=name, error=str(error))

@@ -37,7 +37,6 @@ class SeedTask:
     name_filter: Optional[str] = None
     checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL
     fault: Optional[InjectedFault] = None
-    use_trace_replay: bool = True
 
     def repro_command(self) -> str:
         """The command line reproducing this exact scenario."""
@@ -50,8 +49,6 @@ class SeedTask:
             parts.append(
                 f"--inject-fault {self.fault.architecture}:{self.fault.commit_index}"
             )
-        if not self.use_trace_replay:
-            parts.append("--no-trace-replay")
         return " ".join(parts)
 
 
@@ -68,7 +65,6 @@ def run_seed(task: SeedTask) -> ScenarioValidation:
         checkpoint_interval=task.checkpoint_interval,
         fault=task.fault,
         repro=task.repro_command(),
-        use_trace_replay=task.use_trace_replay,
     )
 
 
@@ -85,7 +81,6 @@ def run_validation(
     checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
     fault: Optional[InjectedFault] = None,
     progress: Optional[ProgressCallback] = None,
-    use_trace_replay: bool = True,
 ) -> ValidationReport:
     """Validate every seed and assemble a :class:`ValidationReport`.
 
@@ -125,7 +120,6 @@ def run_validation(
             name_filter=name_filter,
             checkpoint_interval=checkpoint_interval,
             fault=fault,
-            use_trace_replay=use_trace_replay,
         )
         for seed in seeds
     ]

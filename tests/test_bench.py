@@ -270,10 +270,14 @@ class TestCli:
         assert first == second
 
     def test_sweep_replay_and_live_agree_on_stats_digest(self):
-        """The two execution modes of one sweep matrix must produce
-        bit-identical results: the digest over every point's statistics
-        is the determinism guard for the trace-replay engine."""
+        """The two variants of one sweep matrix must produce bit-identical
+        results, equal to every point's live run: the digest over every
+        point's statistics is the determinism guard for the trace-replay
+        engine."""
+        import hashlib
+
         from repro.bench.scenarios import SweepScenario
+        from repro.experiments.scheduler import run_simulation_point
 
         replay = SweepScenario(name="sweep/x/replay", profile="gcc",
                                instructions=400, use_trace_replay=True)
@@ -282,8 +286,16 @@ class TestCli:
         replay_out = replay.run()
         live_out = live.run()
         assert replay_out["points"] == live_out["points"] == 16
-        assert replay_out["stats_digest"] == live_out["stats_digest"]
         assert replay_out["summary"]["traces_recorded"] == 1
+
+        reference = hashlib.sha256()
+        for point in replay.points():
+            reference.update(json.dumps(
+                run_simulation_point(point).to_dict(), sort_keys=True,
+                separators=(",", ":"), default=str,
+            ).encode("utf-8"))
+        assert replay_out["stats_digest"] == reference.hexdigest()
+        assert live_out["stats_digest"] == reference.hexdigest()
 
     def test_sweep_result_in_report(self):
         from repro.bench.scenarios import SweepScenario

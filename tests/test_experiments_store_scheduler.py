@@ -19,8 +19,8 @@ from repro.experiments.runner import main as runner_main
 from repro.experiments.runner import render_csv, run_experiments
 from repro.experiments.scheduler import (
     SimulationPoint,
+    SweepEngine,
     dedupe_points,
-    execute_points,
     run_simulation_point,
 )
 from repro.experiments.store import ResultStore, simulation_key
@@ -142,12 +142,34 @@ class TestScheduler:
 
     def test_execute_points_fills_store(self):
         store = ResultStore()
-        summary = execute_points([_point("swim"), _point("swim"), _point("m88ksim")],
-                                 store, jobs=1)
+        summary = SweepEngine(store=store, jobs=1).execute(
+            [_point("swim"), _point("swim"), _point("m88ksim")]
+        )
         assert summary["requested"] == 3
         assert summary["unique"] == 2
         assert summary["executed"] == 2
         assert len(store) == 2
+
+    def test_store_keys_are_stable(self):
+        """Keys of a fixed plan never drift: a key change silently turns
+        every existing cache tree into misses.  The keys were recorded
+        by the code that wrote the first on-disk caches."""
+        from repro.service.spec import validate_submission
+
+        plan = validate_submission({
+            "figure": "figure6",
+            "settings": {"instructions": 300, "warmup_instructions": 60,
+                         "benchmarks": ["gcc"]},
+        })
+        points = plan.plan_points()
+        assert sorted(point.store_key() for point in points) == [
+            "130b915992c2e9ea6e5279a372d02c044604418d65f5e12eaa30bd5215715e28",
+            "8c2f0b96a4f668942833c63c42f120d23f5f36cb572206236fb956994593eff5",
+            "ae4923a31fc4efe02db0642e29db9c053226341d1d3bc7c9dc46aa183fd6be34",
+        ]
+        assert {point.trace_key() for point in points} == {
+            "ce7e5e77f485648a773cbafee8904baaa5450ba67d13f3dd7f38528f31e3ad2c",
+        }
 
     def test_plans_cover_their_runs(self):
         """Executing every experiment's plan leaves nothing for run() to
@@ -156,7 +178,9 @@ class TestScheduler:
         from repro.experiments.runner import EXPERIMENTS, PLANNERS, plan_experiments
 
         store = ResultStore()
-        execute_points(plan_experiments(list(PLANNERS), TINY), store, jobs=1)
+        SweepEngine(store=store, jobs=1).execute(
+            plan_experiments(list(PLANNERS), TINY)
+        )
         stores_before = store.counters()["stores"]
         cache = SimulationCache(TINY, store=store)
         for name, experiment in EXPERIMENTS.items():

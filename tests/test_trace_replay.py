@@ -19,7 +19,7 @@ import pytest
 
 from repro.experiments.scheduler import (
     SimulationPoint,
-    execute_points,
+    SweepEngine,
     run_simulation_point,
 )
 from repro.experiments.store import ResultStore
@@ -220,7 +220,7 @@ class TestCacheDirCoexistence:
         config = ProcessorConfig(max_instructions=500)
         point = SimulationPoint(benchmark="gcc", factory=factory,
                                 architecture="mono-1c", config=config)
-        execute_points([point], results, jobs=1, use_trace_replay=True)
+        SweepEngine(store=results, jobs=1).execute([point])
 
         # Results live in segment logs under results/, traces under
         # traces/; a fresh ResultStore must not mistake the trace for a
@@ -256,27 +256,34 @@ class TestReplayIsNotAConfigField:
             for name, factory in list(validation_matrix().items())[:4]
         ]
 
+    @staticmethod
+    def _live_store(points, cache_dir=None):
+        """A store holding every point's live run under its store key."""
+        store = ResultStore(cache_dir=cache_dir)
+        for point in points:
+            store.put(point.store_key(), run_simulation_point(point),
+                      metadata=point.metadata())
+        return store
+
     def test_replayed_and_live_runs_share_result_keys(self, tmp_path):
-        cache_dir = str(tmp_path)
-        replay_store = ResultStore(cache_dir=cache_dir)
-        summary = execute_points(self._points(), replay_store, jobs=1,
-                                 use_trace_replay=True)
+        summary = SweepEngine(store=ResultStore(), jobs=1).execute(self._points())
         assert summary["executed"] == 4
         assert summary["traces_recorded"] == 1
 
-        # A later *live* run over the same cache-dir must hit every entry.
-        live_store = ResultStore(cache_dir=cache_dir)
-        summary = execute_points(self._points(), live_store, jobs=1,
-                                 use_trace_replay=False)
+        # The engine must find every live result under the key it would
+        # have stored its replayed result at, on disk as in memory.
+        cache_dir = str(tmp_path)
+        self._live_store(self._points(), cache_dir)
+        summary = SweepEngine(store=ResultStore(cache_dir=cache_dir),
+                              jobs=1).execute(self._points())
         assert summary["executed"] == 0
         assert summary["cached"] == 4
 
     def test_replayed_results_equal_live_results(self):
         replay_store = ResultStore()
-        live_store = ResultStore()
         points = self._points()
-        execute_points(points, replay_store, jobs=1, use_trace_replay=True)
-        execute_points(points, live_store, jobs=1, use_trace_replay=False)
+        SweepEngine(store=replay_store, jobs=1).execute(points)
+        live_store = self._live_store(points)
         for point in points:
             key = point.store_key()
             assert (replay_store.get(key).to_dict()
@@ -303,11 +310,10 @@ class TestReplayIsNotAConfigField:
 
         points = self._points()
         serial_store = ResultStore()
-        execute_points(points, serial_store, jobs=1, use_trace_replay=True)
+        SweepEngine(store=serial_store, jobs=1).execute(points)
         parallel_store = ResultStore(cache_dir=str(tmp_path))
         try:
-            summary = execute_points(points, parallel_store, jobs=2,
-                                     use_trace_replay=True)
+            summary = SweepEngine(store=parallel_store, jobs=2).execute(points)
         finally:
             shutdown_pool()
         assert summary["executed"] == 4
@@ -416,7 +422,7 @@ class TestPrefixRecording:
     def test_larger_rob_rerecords_a_stored_prefix(self):
         traces = TraceStore(None)
         small = self._point()
-        first = execute_points([small], ResultStore(), trace_store=traces)
+        first = SweepEngine(trace_store=traces).execute([small])
         assert first["traces_recorded"] == 1
         stored = traces.get(small.trace_key())
         assert not stored.serves(self._point(rob_size=512).trace_reach())
@@ -424,25 +430,26 @@ class TestPrefixRecording:
         large = self._point("rfc-non-bypass", rob_size=512)
         assert large.trace_key() == small.trace_key()
         store = ResultStore()
-        summary = execute_points([large], store, trace_store=traces)
+        summary = SweepEngine(store=store, trace_store=traces).execute([large])
         assert summary["traces_recorded"] == 1
         assert summary["traces_reused"] == 0
         assert traces.get(large.trace_key()).serves(large.trace_reach())
         self._assert_live(store, [large])
 
         # The longer trace now serves the small point's group as well.
-        again = execute_points([self._point("banked-4x2r2w")], ResultStore(),
-                               trace_store=traces)
+        again = SweepEngine(trace_store=traces).execute(
+            [self._point("banked-4x2r2w")]
+        )
         assert again["traces_reused"] == 1
 
     def test_sampled_point_rerecords_a_stored_prefix(self):
         from repro.sampling.spec import SamplingSpec
 
         traces = TraceStore(None)
-        execute_points([self._point()], ResultStore(), trace_store=traces)
+        SweepEngine(trace_store=traces).execute([self._point()])
         sampled = self._point(sampling=SamplingSpec(stride=500, window=100))
         store = ResultStore()
-        summary = execute_points([sampled], store, trace_store=traces)
+        summary = SweepEngine(store=store, trace_store=traces).execute([sampled])
         assert summary["traces_recorded"] == 1
         assert traces.get(sampled.trace_key()).complete
         self._assert_live(store, [sampled])
@@ -483,10 +490,10 @@ class TestPrefixRecording:
             warmup_instructions=1500,
         ))
         serial_store = ResultStore()
-        execute_points(points, serial_store, jobs=1)
+        SweepEngine(store=serial_store, jobs=1).execute(points)
         parallel_store = ResultStore(cache_dir=str(tmp_path) if on_disk else None)
         try:
-            summary = execute_points(points, parallel_store, jobs=2)
+            summary = SweepEngine(store=parallel_store, jobs=2).execute(points)
         finally:
             shutdown_pool()
         assert summary["executed"] == len(points)

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.pipeline.config import ProcessorConfig
+from repro.pipeline.processor import simulate
 from repro.validate.differential import (
     filter_matrix,
     run_differential,
@@ -15,6 +16,7 @@ from repro.validate.differential import (
 )
 from repro.validate.faults import InjectedFault, corrupt_instruction
 from repro.validate.fuzzer import generate_scenario
+from repro.validate.observer import DEFAULT_CHECKPOINT_INTERVAL, CommitObserver
 from repro.validate.report import (
     Divergence,
     ScenarioValidation,
@@ -98,6 +100,39 @@ class TestRunDifferential:
                 kernel_trace, ProcessorConfig(max_instructions=50),
                 small_matrix, fault=fault,
             )
+
+
+class TestReplayEqualsLive:
+    """``run_differential`` replays one recorded trace; every architecture
+    run live on the same scenario must commit exactly what it reported."""
+
+    def test_live_runs_match_replayed_outcomes(self):
+        scenario = generate_scenario(7, quick=True)  # repro.validate --seed 7 --quick
+        trace = scenario.build_trace()
+        config = scenario.config()
+        matrix = validation_matrix()
+        result = run_differential(trace, config, scenario=scenario.describe())
+        assert result.divergences == []
+        outcomes = {outcome.architecture: outcome for outcome in result.outcomes}
+        assert list(outcomes) == list(matrix)
+        for name, factory in matrix.items():
+            observer = CommitObserver(checkpoint_interval=DEFAULT_CHECKPOINT_INTERVAL)
+            stats = simulate(
+                iter(trace),
+                factory,
+                config,
+                benchmark_name=trace.name,
+                commit_observer=observer,
+            )
+            live = observer.snapshot()
+            replayed = outcomes[name]
+            assert replayed.error is None, name
+            assert live["count"] == replayed.count, name
+            assert live["digest"] == replayed.digest, name
+            assert live["state"] == replayed.state, name
+            assert live["checkpoints"] == replayed.checkpoints, name
+            assert stats.cycles == replayed.cycles, name
+            assert round(stats.ipc, 6) == replayed.ipc, name
 
 
 class TestFaultInjection:
