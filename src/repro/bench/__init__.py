@@ -1,10 +1,13 @@
 """Performance subsystem: benchmark matrix, reports and the CI perf gate.
 
-``python -m repro.bench`` runs a fixed matrix of simulation scenarios
-and component microbenchmarks, and writes the next schema-versioned
-``BENCH_<n>.json`` of the repository's performance trajectory;
-``python -m repro.bench compare`` diffs two reports and fails on
-regressions beyond a threshold.  See ``docs/benchmarking.md``.
+``python -m repro.bench`` runs a fixed matrix of scenarios (simulations,
+sweeps, service round trips, store workouts and component
+microbenchmarks) — every one a :class:`~repro.bench.scenarios.Scenario`
+measured by the one :meth:`BenchmarkRunner.measure` — and writes the
+next schema-versioned ``BENCH_<n>.json`` of the repository's
+performance trajectory; ``python -m repro.bench compare`` diffs two
+reports and fails on regressions beyond a threshold.  See
+``docs/benchmarking.md``.
 """
 
 from repro.bench.report import (
@@ -20,8 +23,12 @@ from repro.bench.report import (
 from repro.bench.runner import BenchmarkRunner, run_and_save
 from repro.bench.scenarios import (
     ComponentScenario,
+    Outcome,
     SampledSweepScenario,
+    Scenario,
+    ServiceScenario,
     SimulationScenario,
+    all_scenarios,
     component_scenarios,
     headline_scenario,
     sampled_sweep_scenarios,
@@ -34,10 +41,14 @@ __all__ = [
     "BenchmarkRunner",
     "Comparison",
     "ComponentScenario",
+    "Outcome",
+    "SampledSweepScenario",
+    "Scenario",
     "ScenarioDelta",
     "ScenarioResult",
-    "SampledSweepScenario",
+    "ServiceScenario",
     "SimulationScenario",
+    "all_scenarios",
     "compare_reports",
     "component_scenarios",
     "environment_fingerprint",

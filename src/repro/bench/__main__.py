@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from repro.bench.report import BenchReport, BenchReportError, compare_reports
 from repro.bench.runner import run_and_save
-from repro.bench.scenarios import scenario_overview
+from repro.bench.scenarios import all_scenarios
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,9 +82,12 @@ def _run_bench(args: argparse.Namespace) -> int:
     if args.repeats <= 0:
         print("error: --repeats must be positive", file=sys.stderr)
         return 2
+    scenarios = all_scenarios(args.quick)
+    if args.no_components:
+        scenarios = [s for s in scenarios if s.kind != "component"]
     if args.list:
-        for line in scenario_overview(args.quick):
-            print(line)
+        for scenario in scenarios:
+            print(scenario.describe())
         return 0
 
     def progress(message: str) -> None:
@@ -98,7 +101,7 @@ def _run_bench(args: argparse.Namespace) -> int:
             repeats=args.repeats,
             index=args.index,
             name_filter=args.name_filter,
-            include_components=not args.no_components,
+            scenarios=scenarios,
             progress=progress,
         )
     except OSError as error:

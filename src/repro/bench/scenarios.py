@@ -1,40 +1,48 @@
 """The fixed benchmark matrix executed by :mod:`repro.bench`.
 
-Three kinds of scenarios:
+Every scenario follows one protocol: a ``name``, a ``kind``, whether it
+is ``timed_once`` or timed best-of-``repeats``, ``metadata()``,
+``describe()`` (its ``--list`` line) and a ``run()`` returning one
+:class:`Outcome`.  :func:`all_scenarios` lists the matrix in report
+order, and :meth:`~repro.bench.runner.BenchmarkRunner.measure` times any
+scenario the same way.  The kinds:
 
-* **simulation scenarios** — end-to-end runs of the cycle-level
-  simulator: synthetic profiles × register-file architectures ×
-  instruction budgets.  The ``headline`` scenario (gcc on the paper's
-  register file cache) is the number the single-run performance work is
-  judged by.
-* **sweep scenarios** — a figure-style sweep (one workload through a
-  matrix of register-file architectures × register budgets), measured
-  in points/minute.  The ``replay`` variant runs the experiment
-  scheduler's trace-once/replay-many engine, the ``live`` variant the
-  reference loop it replaced (every point with its own workload
-  generation and frontend) — their ratio is the sweep-throughput
-  headline.
-* **service scenarios** — a figure plan pushed through the sweep
-  service's full HTTP path (submit via :class:`ServiceClient`, execute
-  on the service's :class:`~repro.experiments.scheduler.SweepEngine`,
-  poll to completion), measured in points/minute — the perf gate's view
-  of the :mod:`repro.service` subsystem.
-* **store scenarios** — the sharded segment-log store hammered
-  directly (writes, re-reads, deletes, compaction, a cold reopen),
-  measured in store operations/second — the perf gate's view of the
-  :mod:`repro.storage` subsystem every cache hit rides on.
-* **component scenarios** — microbenchmarks of the simulator's building
-  blocks, reused from the repository's ``benchmarks/`` pytest-benchmark
-  suite via a small timing shim, so the same kernels back both harnesses.
+* **simulation** — end-to-end runs of the cycle-level simulator:
+  synthetic profiles × register-file architectures × instruction
+  budgets.  The ``headline`` scenario (gcc on the paper's register file
+  cache) is the number the single-run performance work is judged by.
+* **sweep** — a figure-style sweep (one workload through a matrix of
+  register-file architectures × register budgets), measured in
+  points/minute.  The ``replay`` variant runs the experiment scheduler's
+  trace-once/replay-many engine, the ``live`` variant the reference
+  loop it replaced (every point with its own workload generation and
+  frontend) — their ratio is the sweep-throughput headline.  The
+  exact-vs-sampled sweep is a sweep too; its headline is the per-point
+  speedup of systematic sampling.
+* **service** — a figure plan pushed through the sweep service's full
+  HTTP path (submit via :class:`ServiceClient`, execute on the service's
+  :class:`~repro.experiments.scheduler.SweepEngine`, poll to
+  completion), measured in points/minute — the perf gate's view of the
+  :mod:`repro.service` subsystem.  An A/B service scenario interleaves
+  the production pass with an alternate one (a no-op chaos injector, a
+  bare telemetry registry) and reports their wall ratio.
+* **store** — the sharded segment-log store hammered directly (writes,
+  re-reads, deletes, compaction, a cold reopen), measured in store
+  operations/second — the perf gate's view of the :mod:`repro.storage`
+  subsystem every cache hit rides on.
+* **component** — microbenchmarks of the simulator's building blocks,
+  reused from the repository's ``benchmarks/`` pytest-benchmark suite
+  via a small timing shim, so the same kernels back both harnesses.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
+import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Protocol
 
+from repro.canonical import canonical_json
 from repro.experiments.common import (
     OneLevelBankedFactory,
     RegisterFileCacheFactory,
@@ -48,12 +56,54 @@ from repro.experiments.scheduler import (
 from repro.experiments.store import ResultStore
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.processor import simulate
-from repro.pipeline.stats import SimulationStats
 from repro.workloads.profiles import get_profile
 from repro.workloads.synthetic import SyntheticWorkload
 
 #: Extra stream slack so the pipeline never drains before the commit cap.
 _STREAM_SLACK = 1.5
+
+
+@dataclass
+class Outcome:
+    """What one run of a scenario produced; the runner adds the timing.
+
+    Simulations report ``cycles``/``instructions``; every other kind
+    reports ``operations`` (points, store operations, kernel
+    operations).  ``metadata`` is merged over the scenario's own
+    ``metadata()``.  ``wall_seconds`` is set only by a scenario that
+    runs several passes and whose metric describes one of them.
+    """
+
+    operations: Optional[int] = None
+    cycles: Optional[int] = None
+    instructions: Optional[int] = None
+    stats_digest: Optional[str] = None
+    metadata: Dict[str, object] = field(default_factory=dict)
+    wall_seconds: Optional[float] = None
+
+
+class Scenario(Protocol):
+    """The protocol every bench scenario implements."""
+
+    name: str
+    #: The report's ``kind`` for this scenario.
+    kind: ClassVar[str]
+    #: ``True``: timed once; ``False``: best of the runner's ``repeats``.
+    timed_once: ClassVar[bool]
+
+    def metadata(self) -> Dict[str, object]: ...
+
+    def describe(self) -> str: ...
+
+    def run(self) -> Outcome: ...
+
+
+def _digest(payloads: Iterable[object]) -> str:
+    """SHA-256 over the canonical JSON of each payload, in order."""
+    digest = hashlib.sha256()
+    for payload in payloads:
+        digest.update(canonical_json(payload).encode("utf-8"))
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -68,14 +118,22 @@ class SimulationScenario:
     collect_occupancy: bool = False
     headline: bool = False
 
-    def run(self) -> SimulationStats:
+    kind: ClassVar[str] = "simulation"
+    timed_once: ClassVar[bool] = False
+
+    def run(self) -> Outcome:
         workload = SyntheticWorkload(get_profile(self.profile))
         config = ProcessorConfig(
             max_instructions=self.instructions,
             collect_occupancy=self.collect_occupancy,
         )
         stream = workload.instructions(int(self.instructions * _STREAM_SLACK))
-        return simulate(stream, self.factory, config, benchmark_name=self.profile)
+        stats = simulate(stream, self.factory, config, benchmark_name=self.profile)
+        return Outcome(
+            cycles=stats.cycles,
+            instructions=stats.committed_instructions,
+            stats_digest=_digest([stats.to_dict()]),
+        )
 
     def metadata(self) -> Dict[str, object]:
         return {
@@ -86,34 +144,29 @@ class SimulationScenario:
             "headline": self.headline,
         }
 
-
-@dataclass(frozen=True)
-class ComponentScenario:
-    """One microbenchmark kernel borrowed from ``benchmarks/``."""
-
-    name: str
-    source: str  # qualified name of the reused benchmark function
-    runner: Callable[[], int] = field(compare=False)
-
-    def run(self) -> int:
-        """Execute the kernel once; returns its operation count."""
-        return self.runner()
+    def describe(self) -> str:
+        tag = " [headline]" if self.headline else ""
+        return f"{self.name}: {self.instructions} instructions on {self.architecture}{tag}"
 
 
 #: The architectures swept by the simulation matrix.
 _ARCHITECTURES: Dict[str, Callable[[], object]] = {
-    "1-cycle": SingleBankedFactory(latency=1, bypass_levels=1,
-                                   name="1-cycle single-banked"),
+    "1-cycle": SingleBankedFactory(latency=1, bypass_levels=1, name="1-cycle single-banked"),
     "2-cycle-1-bypass": SingleBankedFactory(
-        latency=2, bypass_levels=1, name="2-cycle single-banked, 1 bypass"),
+        latency=2, bypass_levels=1, name="2-cycle single-banked, 1 bypass"
+    ),
     "one-level-banked": OneLevelBankedFactory(
-        num_banks=4, read_ports_per_bank=2, write_ports_per_bank=2),
+        num_banks=4, read_ports_per_bank=2, write_ports_per_bank=2
+    ),
     "register-file-cache": RegisterFileCacheFactory(),
 }
 
 #: The headline architecture: the paper's proposal with limited resources.
 _HEADLINE_FACTORY = RegisterFileCacheFactory(
-    upper_read_ports=4, upper_write_ports=2, lower_write_ports=4, buses=2,
+    upper_read_ports=4,
+    upper_write_ports=2,
+    lower_write_ports=4,
+    buses=2,
 )
 
 
@@ -168,22 +221,22 @@ def headline_scenario(quick: bool = False) -> SimulationScenario:
 #: paper (three monolithic timings, one-level banked, the register file
 #: cache across caching/fetch policies and a port-constrained point).
 _SWEEP_ARCHITECTURES: Dict[str, Callable[[], object]] = {
-    "mono-1c": SingleBankedFactory(
-        latency=1, bypass_levels=1, name="1-cycle single-banked"),
+    "mono-1c": SingleBankedFactory(latency=1, bypass_levels=1, name="1-cycle single-banked"),
     "mono-2c-full-bypass": SingleBankedFactory(
-        latency=2, bypass_levels=2, name="2-cycle single-banked, full bypass"),
+        latency=2, bypass_levels=2, name="2-cycle single-banked, full bypass"
+    ),
     "mono-2c-1-bypass": SingleBankedFactory(
-        latency=2, bypass_levels=1, name="2-cycle single-banked, 1 bypass"),
+        latency=2, bypass_levels=1, name="2-cycle single-banked, 1 bypass"
+    ),
     "banked-4x2r2w": OneLevelBankedFactory(
-        num_banks=4, read_ports_per_bank=2, write_ports_per_bank=2),
-    "rfc-non-bypass": RegisterFileCacheFactory(
-        caching="non-bypass", fetch="prefetch-first-pair"),
-    "rfc-ready": RegisterFileCacheFactory(
-        caching="ready", fetch="prefetch-first-pair"),
-    "rfc-always-demand": RegisterFileCacheFactory(
-        caching="always", fetch="fetch-on-demand"),
+        num_banks=4, read_ports_per_bank=2, write_ports_per_bank=2
+    ),
+    "rfc-non-bypass": RegisterFileCacheFactory(caching="non-bypass", fetch="prefetch-first-pair"),
+    "rfc-ready": RegisterFileCacheFactory(caching="ready", fetch="prefetch-first-pair"),
+    "rfc-always-demand": RegisterFileCacheFactory(caching="always", fetch="fetch-on-demand"),
     "rfc-ported": RegisterFileCacheFactory(
-        upper_read_ports=4, upper_write_ports=2, lower_write_ports=4, buses=2),
+        upper_read_ports=4, upper_write_ports=2, lower_write_ports=4, buses=2
+    ),
 }
 
 #: Physical-register budgets swept per architecture (figure-1 style).
@@ -208,6 +261,9 @@ class SweepScenario:
     use_trace_replay: bool
     headline_sweep: bool = False
 
+    kind: ClassVar[str] = "sweep"
+    timed_once: ClassVar[bool] = True
+
     def points(self) -> List[SimulationPoint]:
         matrix: List[SimulationPoint] = []
         for budget in _SWEEP_REGISTER_BUDGETS:
@@ -227,7 +283,7 @@ class SweepScenario:
                 )
         return matrix
 
-    def run(self) -> Dict[str, object]:
+    def run(self) -> Outcome:
         """Execute the sweep cold (fresh stores) and digest every result."""
         points = self.points()
         store = ResultStore()
@@ -235,20 +291,13 @@ class SweepScenario:
             summary = SweepEngine(store=store, jobs=1).execute(points)
         else:
             for point in points:
-                store.put(point.store_key(), run_simulation_point(point),
-                          metadata=point.metadata())
+                store.put(point.store_key(), run_simulation_point(point), metadata=point.metadata())
             summary = {"requested": len(points), "executed": len(points)}
-        digest = hashlib.sha256()
-        for point in points:
-            stats = store.get(point.store_key())
-            payload = json.dumps(stats.to_dict(), sort_keys=True,
-                                 separators=(",", ":"), default=str)
-            digest.update(payload.encode("utf-8"))
-        return {
-            "points": len(points),
-            "summary": summary,
-            "stats_digest": digest.hexdigest(),
-        }
+        return Outcome(
+            operations=len(points),
+            stats_digest=_digest(store.get(point.store_key()).to_dict() for point in points),
+            metadata={"scheduler_summary": summary},
+        )
 
     def metadata(self) -> Dict[str, object]:
         return {
@@ -261,6 +310,14 @@ class SweepScenario:
             "headline_sweep": self.headline_sweep,
         }
 
+    def describe(self) -> str:
+        tag = " [sweep headline]" if self.headline_sweep else ""
+        mode = "trace replay" if self.use_trace_replay else "live frontend"
+        return (
+            f"{self.name}: {len(self.points())} points x "
+            f"{self.instructions} instructions via {mode}{tag}"
+        )
+
 
 @dataclass(frozen=True)
 class SampledSweepScenario:
@@ -271,9 +328,10 @@ class SampledSweepScenario:
     once through the systematic-sampling engine (detailed windows at a
     fixed stride, functional warm-up between them, IPC as mean ± CI).
     The committed metric is ``per_point_speedup`` — exact seconds over
-    sampled seconds, averaged across the matrix — the factor the
-    sampling engine buys per sweep point; the accuracy side of the same
-    trade is gated separately by ``repro.validate --sampled-accuracy``.
+    sampled seconds, summed across the matrix — the factor the sampling
+    engine buys per sweep point; the accuracy side of the same trade is
+    gated separately by ``repro.validate --sampled-accuracy``.  It is a
+    self-relative ratio, so it needs no calibration normalization.
     """
 
     name: str
@@ -283,9 +341,10 @@ class SampledSweepScenario:
     architectures: tuple  # keys into _SWEEP_ARCHITECTURES
     register_budget: int = 128
 
-    def run(self) -> Dict[str, object]:
-        import time
+    kind: ClassVar[str] = "sweep"
+    timed_once: ClassVar[bool] = True
 
+    def run(self) -> Outcome:
         from repro.sampling import parse_sampling, sampled_simulate
         from repro.trace import record_trace, replay_simulate
 
@@ -306,39 +365,35 @@ class SampledSweepScenario:
                 "instructions": self.instructions,
             },
         )
-        digest = hashlib.sha256()
+        results = []
         exact_seconds = 0.0
         sampled_seconds = 0.0
         for arch_key in self.architectures:
             factory = _SWEEP_ARCHITECTURES[arch_key]
             started = time.perf_counter()
-            exact = replay_simulate(trace, factory, config,
-                                    benchmark_name=self.profile)
+            exact = replay_simulate(trace, factory, config, benchmark_name=self.profile)
             exact_seconds += time.perf_counter() - started
             started = time.perf_counter()
-            sampled = sampled_simulate(trace, factory, config, spec,
-                                       benchmark_name=self.profile)
+            sampled = sampled_simulate(trace, factory, config, spec, benchmark_name=self.profile)
             sampled_seconds += time.perf_counter() - started
-            for stats in (exact, sampled):
-                payload = json.dumps(stats.to_dict(), sort_keys=True,
-                                     separators=(",", ":"), default=str)
-                digest.update(payload.encode("utf-8"))
+            results += [exact.to_dict(), sampled.to_dict()]
         points = len(self.architectures)
-        return {
-            "points": points,
-            "summary": {
-                "architectures": list(self.architectures),
-                "exact_points": points,
-                "sampled_points": points,
+        speedup = exact_seconds / sampled_seconds if sampled_seconds > 0 else 0.0
+        return Outcome(
+            operations=points,
+            stats_digest=_digest(results),
+            metadata={
+                "summary": {
+                    "architectures": list(self.architectures),
+                    "exact_points": points,
+                    "sampled_points": points,
+                },
+                "exact_seconds": round(exact_seconds, 3),
+                "sampled_seconds": round(sampled_seconds, 3),
+                "per_point_speedup": round(speedup, 2),
+                "sampling": spec.to_payload(),
             },
-            "stats_digest": digest.hexdigest(),
-            "exact_seconds": round(exact_seconds, 3),
-            "sampled_seconds": round(sampled_seconds, 3),
-            "per_point_speedup": round(
-                exact_seconds / sampled_seconds, 2
-            ) if sampled_seconds > 0 else 0.0,
-            "sampling": spec.to_payload(),
-        }
+        )
 
     def metadata(self) -> Dict[str, object]:
         return {
@@ -348,6 +403,12 @@ class SampledSweepScenario:
             "architectures": list(self.architectures),
             "register_budget": self.register_budget,
         }
+
+    def describe(self) -> str:
+        return (
+            f"{self.name}: {len(self.architectures)} architectures x "
+            f"{self.instructions} instructions, exact vs sampled ({self.sample})"
+        )
 
 
 def sampled_sweep_scenarios(quick: bool = False) -> List[SampledSweepScenario]:
@@ -361,8 +422,7 @@ def sampled_sweep_scenarios(quick: bool = False) -> List[SampledSweepScenario]:
     speedup the trajectory commits to comes from.
     """
     architectures = (
-        ("mono-1c", "mono-2c-1-bypass", "rfc-ported")
-        if quick else tuple(_SWEEP_ARCHITECTURES)
+        ("mono-1c", "mono-2c-1-bypass", "rfc-ported") if quick else tuple(_SWEEP_ARCHITECTURES)
     )
     return [
         SampledSweepScenario(
@@ -418,66 +478,64 @@ def _service_pass(figure: str, settings: dict, **app_kwargs) -> Dict[str, object
     """
     import shutil
     import tempfile
-    import threading
-    import time
 
     from repro.errors import SimulationError
-    from repro.service.app import ServiceApp
     from repro.service.client import ServiceClient
-    from repro.service.server import build_server
+    from repro.service.server import InProcessService
 
     tmp = tempfile.mkdtemp(prefix="repro-bench-service-")
-    app = ServiceApp(cache_dir=tmp, jobs=1, job_concurrency=1, **app_kwargs)
-    server = build_server(app, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    app.start()
     try:
-        client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
-        started = time.perf_counter()
-        job = client.submit({"figure": figure, "settings": settings})
-        final = client.watch(job["id"], interval=0.05, timeout=1800)
-        wall = time.perf_counter() - started
-        if final.get("state") != "completed":
-            raise SimulationError(
-                f"service bench job did not complete: {final.get('error')}"
-            )
-        result = client.result(job["id"])
-        digest = hashlib.sha256(
-            json.dumps(result["result"], sort_keys=True,
-                       separators=(",", ":"), default=str).encode("utf-8")
-        ).hexdigest()
+        with InProcessService(cache_dir=tmp, jobs=1, job_concurrency=1, **app_kwargs) as service:
+            client = ServiceClient(service.url)
+            started = time.perf_counter()
+            job = client.submit({"figure": figure, "settings": settings})
+            final = client.watch(job["id"], interval=0.05, timeout=1800)
+            wall = time.perf_counter() - started
+            if final.get("state") != "completed":
+                raise SimulationError(f"service bench job did not complete: {final.get('error')}")
+            result = client.result(job["id"])
         return {
             "points": int(final["counters"]["unique"]),
             "counters": final["counters"],
             "wall_seconds": wall,
-            "digest": digest,
+            "digest": _digest([result["result"]]),
         }
     finally:
-        server.shutdown()
-        server.server_close()
-        app.stop()
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def _plan_settings(scenario) -> dict:
-    """The submission ``settings`` of a service scenario's figure plan."""
-    return {
-        "instructions": scenario.instructions,
-        "warmup_instructions": scenario.warmup_instructions,
-        "benchmarks": list(scenario.benchmarks),
-    }
+#: The A/B comparisons a :class:`ServiceScenario` can run, keyed by its
+#: alternate pass.  Each names its two passes as (pass label, summary
+#: key), lighter first: every round runs them in that order, and the
+#: reported ratio is the heavier pass over the lighter one.
+_AB_PASSES = {
+    "noop-injector": (("seams-disabled", "disabled"), ("noop-injector", "instrumented")),
+    "bare-registry": (("bare-registry", "bare"), ("full-telemetry", "full")),
+}
 
 
 @dataclass(frozen=True)
 class ServiceScenario:
     """One figure plan through the sweep service's full HTTP path.
 
-    Each run boots a cold in-process service (fresh stores, a free
+    Each pass boots a cold in-process service (fresh stores, a free
     port), submits the plan with the client, polls it to completion and
     tears the service down — so the measured points/minute includes
     admission, queueing, scheduling and result assembly, everything a
     real client pays on top of the raw engine.
+
+    With an ``alternate`` (a key of :data:`_AB_PASSES`) the scenario is
+    an A/B comparison: ``pairs`` rounds each run the production-default
+    pass and the alternate on cold cache trees — ``noop-injector``
+    installs a zero-fault chaos injector (every seam guard takes its
+    slow path), ``bare-registry`` runs with a bare metrics registry (no
+    event log, no event bus).  The best wall per side is compared — the
+    interleaved best-of estimator from ``docs/benchmarking.md``, since a
+    single ~1 s service wall carries enough scheduler and watch-poll
+    noise to swamp a few-percent ratio.  The throughput metric is the
+    best production pass; the two walls and their ratio land in the
+    ``job_counters`` summary.  Every pass must produce byte-identical
+    results; a divergence fails the run outright.
     """
 
     name: str
@@ -485,179 +543,101 @@ class ServiceScenario:
     instructions: int
     warmup_instructions: int
     benchmarks: tuple
+    #: The pass compared against production (a key of ``_AB_PASSES``);
+    #: ``None`` runs one plain round trip.
+    alternate: Optional[str] = None
+    #: Interleaved A/B rounds; the best wall per side is compared.
+    pairs: int = 1
 
-    def run(self) -> Dict[str, object]:
-        outcome = _service_pass(self.figure, _plan_settings(self))
-        return {
-            "points": outcome["points"],
-            "summary": outcome["counters"],
-            "stats_digest": outcome["digest"],
-        }
+    kind: ClassVar[str] = "service"
+    timed_once: ClassVar[bool] = True
 
-    def metadata(self) -> Dict[str, object]:
-        return {
-            "figure": self.figure,
+    def _one_pass(self, label: str) -> Dict[str, object]:
+        """One cold service pass in the configuration ``label`` names."""
+        settings = {
             "instructions": self.instructions,
             "warmup_instructions": self.warmup_instructions,
             "benchmarks": list(self.benchmarks),
-            "transport": "http",
         }
+        if label == "noop-injector":
+            from repro.chaos import seams
+            from repro.chaos.faults import FaultInjector
 
+            seams.install(FaultInjector([]))
+            try:
+                return _service_pass(self.figure, settings)
+            finally:
+                seams.uninstall()
+        if label == "bare-registry":
+            from repro.obs.metrics import MetricsRegistry
+            from repro.obs.telemetry import Telemetry
 
-@dataclass(frozen=True)
-class ResilienceOverheadScenario:
-    """The chaos seams must cost nothing when no injector is installed.
+            bare = Telemetry(registry=MetricsRegistry())
+            return _service_pass(self.figure, settings, telemetry=bare)
+        return _service_pass(self.figure, settings)
 
-    Runs the same figure plan through the service twice on cold cache
-    trees: once with the seams disabled (the production default) and
-    once with a zero-fault injector installed (every seam guard takes
-    its slow path).  The scenario's throughput metric is the *disabled*
-    pass — directly comparable to ``service_throughput`` numbers such
-    as BENCH_6's — while the instrumented/disabled wall ratio lands in
-    the metadata.  Both passes must produce byte-identical results; a
-    divergence fails the run outright.
-    """
-
-    name: str
-    figure: str
-    instructions: int
-    warmup_instructions: int
-    benchmarks: tuple
-
-    def run(self) -> Dict[str, object]:
+    def run(self) -> Outcome:
+        if self.alternate is None:
+            single = self._one_pass("production")
+            return Outcome(
+                operations=single["points"],
+                stats_digest=single["digest"],
+                metadata={"job_counters": single["counters"]},
+            )
         from repro.chaos import seams
-        from repro.chaos.faults import FaultInjector
         from repro.errors import SimulationError
 
         if seams.installed():
-            raise SimulationError(
-                "resilience bench needs the chaos seams disabled at entry"
-            )
-        settings = _plan_settings(self)
-        disabled = _service_pass(self.figure, settings)
-        seams.install(FaultInjector([]))
-        try:
-            instrumented = _service_pass(self.figure, settings)
-        finally:
-            seams.uninstall()
-        if disabled["digest"] != instrumented["digest"]:
-            raise SimulationError(
-                "instrumented (no-fault) service pass diverged from the "
-                "plain pass — the seams are not transparent"
-            )
-        ratio = (
-            instrumented["wall_seconds"] / disabled["wall_seconds"]
-            if disabled["wall_seconds"] else 0.0
-        )
-        return {
-            "points": disabled["points"],
-            "summary": {
-                "disabled_wall_seconds": round(disabled["wall_seconds"], 3),
-                "instrumented_wall_seconds": round(
-                    instrumented["wall_seconds"], 3
-                ),
-                "instrumented_over_disabled": round(ratio, 3),
-            },
-            "stats_digest": disabled["digest"],
-        }
-
-    def metadata(self) -> Dict[str, object]:
-        return {
-            "figure": self.figure,
-            "instructions": self.instructions,
-            "warmup_instructions": self.warmup_instructions,
-            "benchmarks": list(self.benchmarks),
-            "transport": "http",
-            "passes": ["seams-disabled", "noop-injector"],
-        }
-
-
-@dataclass(frozen=True)
-class ObsOverheadScenario:
-    """Telemetry must be nearly free: spans + histograms + the event log.
-
-    Runs the same figure plan through the service on cold cache trees
-    with full telemetry (the production default — metrics registry,
-    span event log, SSE bus) and with a bare registry (no event log,
-    no bus), the cheapest configuration the app supports.  The passes
-    alternate bare/full for ``pairs`` rounds and the best wall per
-    side is compared — the interleaved best-of estimator from
-    ``docs/benchmarking.md``, because a single ~1 s service wall
-    carries enough scheduler and watch-poll noise to swamp a 5%
-    ratio.  The throughput metric is the *full-telemetry* wall — that
-    is what production pays — and the full/bare ratio lands in the
-    summary next to the ``threshold`` it is expected to stay under
-    (1.05×).  Every pass must produce byte-identical results.
-    """
-
-    name: str
-    figure: str
-    instructions: int
-    warmup_instructions: int
-    benchmarks: tuple
-
-    #: Expected upper bound on the full/bare wall ratio.
-    threshold: float = 1.05
-    #: Alternating bare/full rounds; best wall per side is compared.
-    pairs: int = 3
-
-    def _one_pass(self, full_telemetry: bool) -> Dict[str, object]:
-        from repro.obs.metrics import MetricsRegistry
-        from repro.obs.telemetry import Telemetry
-
-        telemetry = (
-            None if full_telemetry  # the app builds log + bus itself
-            else Telemetry(registry=MetricsRegistry())
-        )
-        return _service_pass(self.figure, _plan_settings(self),
-                             telemetry=telemetry)
-
-    def run(self) -> Dict[str, object]:
-        from repro.errors import SimulationError
-
-        bare_walls, full_walls = [], []
-        full = None
-        digest = None
+            raise SimulationError("A/B service bench needs the chaos seams disabled at entry")
+        light, heavy = _AB_PASSES[self.alternate]
+        walls: Dict[str, List[float]] = {light[1]: [], heavy[1]: []}
+        first = None
         for _ in range(max(1, self.pairs)):
-            bare = self._one_pass(full_telemetry=False)
-            full = self._one_pass(full_telemetry=True)
-            if digest is None:
-                digest = bare["digest"]
-            if bare["digest"] != digest or full["digest"] != digest:
-                raise SimulationError(
-                    "full-telemetry service pass diverged from the bare-"
-                    "registry pass — observability is not transparent"
-                )
-            bare_walls.append(bare["wall_seconds"])
-            full_walls.append(full["wall_seconds"])
-        best_bare, best_full = min(bare_walls), min(full_walls)
-        ratio = best_full / best_bare if best_bare else 0.0
-        return {
-            "points": full["points"],
-            "wall_seconds_override": best_full,
-            "summary": {
-                "bare_wall_seconds": round(best_bare, 3),
-                "full_wall_seconds": round(best_full, 3),
-                "full_over_bare": round(ratio, 3),
-                "pairs": max(1, self.pairs),
-                "threshold": self.threshold,
-                "within_threshold": ratio <= self.threshold,
-            },
-            "stats_digest": digest,
+            for label, key in (light, heavy):
+                outcome = self._one_pass(label)
+                if first is None:
+                    first = outcome
+                elif outcome["digest"] != first["digest"]:
+                    raise SimulationError(
+                        f"{label} service pass diverged from the {light[0]} pass — "
+                        f"the {self.alternate} comparison is not transparent"
+                    )
+                walls[key].append(outcome["wall_seconds"])
+        best = {key: min(values) for key, values in walls.items()}
+        summary: Dict[str, object] = {
+            f"{key}_wall_seconds": round(wall, 3) for key, wall in best.items()
         }
+        ratio = best[heavy[1]] / best[light[1]] if best[light[1]] else 0.0
+        summary[f"{heavy[1]}_over_{light[1]}"] = round(ratio, 3)
+        summary["pairs"] = max(1, self.pairs)
+        production = light if heavy[0] == self.alternate else heavy
+        return Outcome(
+            operations=first["points"],
+            stats_digest=first["digest"],
+            metadata={"job_counters": summary},
+            wall_seconds=best[production[1]],
+        )
 
     def metadata(self) -> Dict[str, object]:
-        return {
+        metadata: Dict[str, object] = {
             "figure": self.figure,
             "instructions": self.instructions,
             "warmup_instructions": self.warmup_instructions,
             "benchmarks": list(self.benchmarks),
             "transport": "http",
-            "passes": ["bare-registry", "full-telemetry"],
         }
+        if self.alternate is not None:
+            metadata["passes"] = [label for label, _ in _AB_PASSES[self.alternate]]
+        return metadata
+
+    def describe(self) -> str:
+        return (
+            f"{self.name}: {self.figure} plan over {'/'.join(self.benchmarks)} x "
+            f"{self.instructions} instructions through the HTTP sweep service"
+        )
 
 
-def service_scenarios(quick: bool = False) -> List[object]:
+def service_scenarios(quick: bool = False) -> List[ServiceScenario]:
     """The service-path scenarios (quick-eligible, so CI gates them too)."""
     return [
         ServiceScenario(
@@ -667,22 +647,28 @@ def service_scenarios(quick: bool = False) -> List[object]:
             warmup_instructions=300 if quick else 2000,
             benchmarks=("gcc", "swim"),
         ),
-        ResilienceOverheadScenario(
+        # The chaos seams must cost nothing when no injector is installed.
+        ServiceScenario(
             name="resilience_overhead/figure6",
             figure="figure6",
             instructions=1500 if quick else 6000,
             warmup_instructions=300 if quick else 2000,
             benchmarks=("gcc",),
+            alternate="noop-injector",
         ),
-        # Deliberately NOT shrunk under --quick: on a sub-second job the
-        # client's 50 ms watch-poll quantisation swamps the ratio being
-        # measured; the full-size plan keeps the signal above the noise.
-        ObsOverheadScenario(
+        # Telemetry (spans, histograms, the event log) must be nearly
+        # free.  Deliberately NOT shrunk under --quick: on a sub-second
+        # job the client's 50 ms watch-poll quantisation swamps the
+        # ratio being measured; the full-size plan keeps the signal above
+        # the noise.
+        ServiceScenario(
             name="obs_overhead/figure6",
             figure="figure6",
             instructions=6000,
             warmup_instructions=2000,
             benchmarks=("gcc",),
+            alternate="bare-registry",
+            pairs=3,
         ),
     ]
 
@@ -710,6 +696,9 @@ class StoreScenario:
     value_bytes: int
     read_passes: int = 2
 
+    kind: ClassVar[str] = "store"
+    timed_once: ClassVar[bool] = False
+
     def _key(self, index: int) -> str:
         return hashlib.sha256(f"bench-store-{index}".encode()).hexdigest()
 
@@ -719,7 +708,7 @@ class StoreScenario:
         repeated = block * (self.value_bytes // len(block) + 1)
         return repeated[: self.value_bytes]
 
-    def run(self) -> Dict[str, object]:
+    def run(self) -> Outcome:
         import shutil
         import tempfile
 
@@ -752,11 +741,11 @@ class StoreScenario:
             operations += self.entries
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
-        return {
-            "operations": operations,
-            "stats_digest": digest.hexdigest(),
-            "store_stats": stats,
-        }
+        return Outcome(
+            operations=operations,
+            stats_digest=digest.hexdigest(),
+            metadata={"store_stats": stats},
+        )
 
     def metadata(self) -> Dict[str, object]:
         return {
@@ -765,6 +754,12 @@ class StoreScenario:
             "read_passes": self.read_passes,
             "num_shards": 16,
         }
+
+    def describe(self) -> str:
+        return (
+            f"{self.name}: {self.entries} x {self.value_bytes}B entries "
+            f"through the sharded segment-log store"
+        )
 
 
 def store_scenarios(quick: bool = False) -> List[StoreScenario]:
@@ -781,6 +776,28 @@ def store_scenarios(quick: bool = False) -> List[StoreScenario]:
 # ----------------------------------------------------------------------
 # component microbenchmarks, reused from benchmarks/bench_components.py
 # ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ComponentScenario:
+    """One microbenchmark kernel borrowed from ``benchmarks/``."""
+
+    name: str
+    source: str  # qualified name of the reused benchmark function
+    runner: Callable[[], int] = field(compare=False)
+
+    kind: ClassVar[str] = "component"
+    timed_once: ClassVar[bool] = False
+
+    def run(self) -> Outcome:
+        """Execute the kernel once; reports its operation count."""
+        return Outcome(operations=self.runner() or None)
+
+    def metadata(self) -> Dict[str, object]:
+        return {"source": self.source}
+
+    def describe(self) -> str:
+        return f"{self.name}: reuses {self.source}"
 
 
 class _OnceShim:
@@ -850,42 +867,16 @@ def component_scenarios(quick: bool = False) -> List[ComponentScenario]:
     return scenarios
 
 
-def scenario_overview(quick: bool = False) -> List[str]:
-    """Human-readable one-liners for ``python -m repro.bench --list``."""
-    lines = []
-    for sim in simulation_scenarios(quick):
-        tag = " [headline]" if sim.headline else ""
-        lines.append(
-            f"{sim.name}: {sim.instructions} instructions on "
-            f"{sim.architecture}{tag}"
-        )
-    for sweep in sweep_scenarios(quick):
-        tag = " [sweep headline]" if sweep.headline_sweep else ""
-        mode = "trace replay" if sweep.use_trace_replay else "live frontend"
-        lines.append(
-            f"{sweep.name}: {len(sweep.points())} points x "
-            f"{sweep.instructions} instructions via {mode}{tag}"
-        )
-    for sampled in sampled_sweep_scenarios(quick):
-        lines.append(
-            f"{sampled.name}: {len(sampled.architectures)} architectures x "
-            f"{sampled.instructions} instructions, exact vs sampled "
-            f"({sampled.sample})"
-        )
-    for service in service_scenarios(quick):
-        lines.append(
-            f"{service.name}: {service.figure} plan over "
-            f"{'/'.join(service.benchmarks)} x {service.instructions} "
-            f"instructions through the HTTP sweep service"
-        )
-    for store in store_scenarios(quick):
-        lines.append(
-            f"{store.name}: {store.entries} x {store.value_bytes}B entries "
-            f"through the sharded segment-log store"
-        )
-    for comp in component_scenarios(quick):
-        lines.append(f"{comp.name}: reuses {comp.source}")
-    return lines
+def all_scenarios(quick: bool = False) -> List[Scenario]:
+    """The whole matrix in report order (what ``--list`` prints)."""
+    return [
+        *simulation_scenarios(quick),
+        *sweep_scenarios(quick),
+        *sampled_sweep_scenarios(quick),
+        *service_scenarios(quick),
+        *store_scenarios(quick),
+        *component_scenarios(quick),
+    ]
 
 
 def with_budget(scenario: SimulationScenario, instructions: int) -> SimulationScenario:

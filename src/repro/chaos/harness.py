@@ -25,19 +25,17 @@ scenario reports a violation.
 
 from __future__ import annotations
 
-import json
 import shutil
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.canonical import canonical_json
 from repro.chaos import seams
 from repro.chaos.faults import FaultInjector
-from repro.service.app import ServiceApp
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.server import build_server
+from repro.service.server import InProcessService
 
 #: Upper bound on any single scenario wait; hitting it is a violation.
 DEFAULT_WAIT_S = 120.0
@@ -76,7 +74,7 @@ class ScenarioResult:
         }
 
 
-class ServiceUnderTest:
+class ServiceUnderTest(InProcessService):
     """One in-process replica: app + HTTP server + a client to it.
 
     ``client_kwargs`` tune the retry policy of the returned client;
@@ -88,23 +86,10 @@ class ServiceUnderTest:
                  **app_kwargs) -> None:
         app_kwargs.setdefault("jobs", 1)  # seams fire in-process only
         app_kwargs.setdefault("job_concurrency", 1)
-        self.app = ServiceApp(cache_dir=cache_dir, **app_kwargs)
-        self.server = build_server(self.app, port=0)
-        self.port = self.server.server_address[1]
-        self.url = f"http://127.0.0.1:{self.port}"
-        self._thread = threading.Thread(
-            target=self.server.serve_forever, daemon=True
-        )
-        self._thread.start()
-        self.app.start()
+        super().__init__(cache_dir=cache_dir, **app_kwargs)
         kwargs = dict(client_kwargs or {})
         kwargs.setdefault("timeout", 30.0)
         self.client = ServiceClient(self.url, **kwargs)
-
-    def stop(self) -> None:
-        self.server.shutdown()
-        self.server.server_close()
-        self.app.stop(drain=True, timeout=30.0)
 
 
 class scenario_env:
@@ -159,8 +144,7 @@ class scenario_env:
 
 def canonical_result_bytes(result_payload: dict) -> bytes:
     """The byte-identity form of a job result (order-independent JSON)."""
-    return json.dumps(result_payload, sort_keys=True,
-                      separators=(",", ":"), default=str).encode("utf-8")
+    return canonical_json(result_payload).encode("utf-8")
 
 
 def check_terminal_record(record: dict, result: ScenarioResult,

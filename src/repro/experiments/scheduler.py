@@ -932,6 +932,9 @@ class SweepEngine:
                 group_key, members = record_groups[index]
                 payload, stats_dict = result
                 payloads[group_key] = payload  # None when persisted to disk
+                if payload is not None:
+                    # Memory-only store: keep the trace for later executes.
+                    traces.put(DecodedTrace.from_payload(payload))
                 first_key, first_point = members[0]
                 record(first_key, first_point, SimulationStats.from_dict(stats_dict))
                 batch_members.extend(

@@ -5,9 +5,7 @@ produced by the experiment harness in an in-memory dictionary and,
 optionally, mirrors it to a sharded append-only segment log
 (:class:`~repro.storage.sharded.ShardedStore` under
 ``<cache_dir>/results/``) so that repeated invocations of the runner
-only pay for simulation points they have never seen before.  Legacy
-file-per-point trees (``<cache_dir>/<key>.json``) are imported byte for
-byte the first time they are opened under the new layout.
+only pay for simulation points they have never seen before.
 
 Keys are content hashes over everything that determines a simulation's
 outcome: the benchmark name, the register-file architecture (its factory
@@ -33,6 +31,7 @@ import os
 import threading
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.canonical import canonical_json
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.stats import SimulationStats
 from repro.storage import ShardedStore
@@ -48,10 +47,6 @@ RESULT_SUBDIR = "results"
 #: a live replica never loses a claim mid-simulation, short enough that
 #: a crashed replica's claims expire quickly.
 DEFAULT_CLAIM_TTL = 120.0
-
-
-def _canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
 
 
 def factory_fingerprint(factory: Callable) -> dict:
@@ -95,7 +90,7 @@ def simulation_key(
     }
     if sampling is not None:
         payload["sampling"] = sampling
-    return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
 class ResultStore:

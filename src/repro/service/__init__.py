@@ -32,7 +32,7 @@ from repro.service.jobs import (
     JobQueue,
     JobStore,
 )
-from repro.service.server import build_server
+from repro.service.server import InProcessService, build_server
 from repro.service.spec import ApiError, validate_submission
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "COMPLETED",
     "DEFAULT_URL",
     "FAILED",
+    "InProcessService",
     "Job",
     "JobQueue",
     "JobStore",

@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
+import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
@@ -55,6 +56,9 @@ EVENTS_MAX_SECONDS = 3600.0
 #: Submissions larger than this are rejected outright (a malformed
 #: Content-Length must not let a request buffer without bound).
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: How long :meth:`InProcessService.stop` lets running jobs drain.
+DRAIN_TIMEOUT_S = 30.0
 
 
 class ServiceRequestHandler(BaseHTTPRequestHandler):
@@ -323,3 +327,33 @@ def build_server(app: ServiceApp, host: str = "127.0.0.1",
                  port: int = 8642) -> SweepServiceServer:
     """Bind the service to ``host:port`` (``port=0`` picks a free port)."""
     return SweepServiceServer((host, port), app)
+
+
+class InProcessService:
+    """A :class:`ServiceApp` behind a real HTTP socket in this process.
+
+    Builds the app from ``app_kwargs``, binds it to a free port on
+    localhost, serves it from a daemon thread and starts its executors;
+    :meth:`stop` (or leaving the ``with`` block) shuts the socket down
+    and drains running jobs for at most :data:`DRAIN_TIMEOUT_S`.  The
+    bench service scenarios, the chaos harness and the service tests
+    all boot their servers through it.
+    """
+
+    def __init__(self, **app_kwargs) -> None:
+        self.app = ServiceApp(**app_kwargs)
+        self.server = build_server(self.app, port=0)
+        self.url = f"http://127.0.0.1:{self.server.server_address[1]}"
+        threading.Thread(target=self.server.serve_forever, daemon=True).start()
+        self.app.start()
+
+    def stop(self) -> None:
+        self.server.shutdown()
+        self.server.server_close()
+        self.app.stop(drain=True, timeout=DRAIN_TIMEOUT_S)
+
+    def __enter__(self) -> "InProcessService":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()

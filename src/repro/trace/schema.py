@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.canonical import canonical_json
 from repro.errors import SimulationError
 from repro.isa.instruction import (
     FP_LOGICAL_REGISTERS,
@@ -70,10 +70,6 @@ def frontend_fingerprint(config: ProcessorConfig) -> dict:
     }
 
 
-def _canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
-
-
 def trace_key(workload_id: dict, config: ProcessorConfig) -> str:
     """Content hash identifying one decoded trace.
 
@@ -86,7 +82,7 @@ def trace_key(workload_id: dict, config: ProcessorConfig) -> str:
         "workload": dict(workload_id),
         "frontend": frontend_fingerprint(config),
     }
-    return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
 # ----------------------------------------------------------------------

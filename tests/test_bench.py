@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import pytest
 
@@ -17,6 +18,8 @@ from repro.bench.report import (
 )
 from repro.bench.runner import BenchmarkRunner, run_and_save
 from repro.bench.scenarios import (
+    Outcome,
+    all_scenarios,
     component_scenarios,
     headline_scenario,
     simulation_scenarios,
@@ -49,6 +52,27 @@ def _sim_result(name, cycles, wall):
     )
 
 
+@dataclass
+class _CountingScenario:
+    """A scenario that only counts its runs."""
+
+    name: str
+    timed_once: bool
+    runs: int = 0
+
+    kind: ClassVar[str] = "store"
+
+    def run(self) -> Outcome:
+        self.runs += 1
+        return Outcome(operations=10, stats_digest="d", metadata={"run": self.runs})
+
+    def metadata(self):
+        return {"declared": True}
+
+    def describe(self) -> str:
+        return self.name
+
+
 class TestScenarios:
     def test_quick_matrix_has_headline_and_all_architectures(self):
         scenarios = simulation_scenarios(quick=True)
@@ -57,8 +81,12 @@ class TestScenarios:
         headline = [s for s in scenarios if s.headline]
         assert len(headline) == 1
         architectures = {s.name.split("/")[2] for s in scenarios if not s.headline}
-        assert {"1-cycle", "2-cycle-1-bypass", "one-level-banked",
-                "register-file-cache"} <= architectures
+        assert {
+            "1-cycle",
+            "2-cycle-1-bypass",
+            "one-level-banked",
+            "register-file-cache",
+        } <= architectures
 
     def test_quick_budgets_are_smaller(self):
         quick = headline_scenario(quick=True)
@@ -70,23 +98,45 @@ class TestScenarios:
         # The repository checkout has benchmarks/ importable via the cwd.
         if not scenarios:
             pytest.skip("benchmarks/ package not importable from here")
-        assert all(s.source.startswith("benchmarks.bench_components.")
-                   for s in scenarios)
-        assert scenarios[0].run() > 0
+        assert all(s.source.startswith("benchmarks.bench_components.") for s in scenarios)
+        assert scenarios[0].run().operations > 0
 
     def test_scenario_run_is_deterministic(self):
         scenario = with_budget(headline_scenario(quick=True), 300)
-        first = scenario.run().to_dict()
-        second = scenario.run().to_dict()
+        first = scenario.run()
+        second = scenario.run()
         assert first == second
+        assert first.cycles > 0 and len(first.stats_digest) == 64
+
+    def test_all_scenarios_share_one_protocol(self):
+        """The matrix in both modes: unique names, the same names in the
+        same order (the perf gate matches scenarios by name across quick
+        and full reports), and each kind's timing rule."""
+        timed_once = {
+            "simulation": False,
+            "sweep": True,
+            "service": True,
+            "store": False,
+            "component": False,
+        }
+        quick = all_scenarios(quick=True)
+        full = all_scenarios(quick=False)
+        names = [s.name for s in quick]
+        assert len(names) == len(set(names))
+        assert [s.name for s in full] == names
+        for scenario in quick + full:
+            assert scenario.timed_once is timed_once[scenario.kind], scenario.name
+            assert isinstance(scenario.metadata(), dict)
+            assert scenario.describe().startswith(f"{scenario.name}: ")
+        kinds = [s.kind for s in quick]
+        blocks = [kind for i, kind in enumerate(kinds) if i == 0 or kinds[i - 1] != kind]
+        assert blocks == [kind for kind in timed_once if kind in kinds]
 
 
 class TestRunnerAndReport:
     def test_runner_produces_schema_versioned_report(self, tmp_path):
         scenario = with_budget(headline_scenario(quick=True), 300)
-        runner = BenchmarkRunner(quick=True, repeats=1, simulations=[scenario],
-                                 sweeps=[], sampled_sweeps=[], services=[], stores=[],
-                                 include_components=False)
+        runner = BenchmarkRunner(quick=True, repeats=1, scenarios=[scenario])
         report = runner.run(index=7)
         assert report.schema == 1
         assert report.index == 7
@@ -103,10 +153,26 @@ class TestRunnerAndReport:
         (tmp_path / "BENCH_3.json").write_text("{}")
         scenario = with_budget(headline_scenario(quick=True), 200)
         _, path = run_and_save(
-            output_dir=str(tmp_path), quick=True, repeats=1,
-            include_components=False, name_filter="headline",
+            output_dir=str(tmp_path),
+            quick=True,
+            repeats=1,
+            scenarios=[scenario],
         )
         assert path.endswith("BENCH_4.json")
+
+    def test_measure_times_once_or_best_of_repeats(self):
+        runner = BenchmarkRunner(repeats=3)
+        best_of = _CountingScenario(name="store/best-of", timed_once=False)
+        once = _CountingScenario(name="store/once", timed_once=True)
+        best_of_result = runner.measure(best_of)
+        once_result = runner.measure(once)
+        assert (best_of.runs, best_of_result.repeats) == (3, 3)
+        assert (once.runs, once_result.repeats) == (1, 1)
+        # Scenario metadata plus the last run's outcome metadata.
+        assert best_of_result.metadata == {"declared": True, "run": 3}
+        assert best_of_result.kind == "store"
+        assert best_of_result.operations == 10
+        assert best_of_result.rate == best_of_result.operations_per_second > 0
 
     def test_next_report_index_scans_multiple_directories(self, tmp_path):
         first = tmp_path / "a"
@@ -148,10 +214,8 @@ class TestCompare:
     def test_calibration_normalization_cancels_machine_speed(self):
         # Same simulator speed relative to the interpreter, but the
         # "current" machine is 2x slower overall: no regression.
-        baseline = _report(1, [_sim_result("headline", 10_000, 1.0)],
-                           calibration=2_000_000.0)
-        current = _report(2, [_sim_result("headline", 10_000, 2.0)],
-                          calibration=1_000_000.0)
+        baseline = _report(1, [_sim_result("headline", 10_000, 1.0)], calibration=2_000_000.0)
+        current = _report(2, [_sim_result("headline", 10_000, 2.0)], calibration=1_000_000.0)
         assert compare_reports(baseline, current, threshold=0.25).ok
         # Raw mode sees the slowdown.
         raw = compare_reports(baseline, current, threshold=0.25, normalize=False)
@@ -169,8 +233,7 @@ class TestCompare:
 
     def test_new_scenarios_alone_do_not_fail_the_gate(self):
         baseline = _report(1, [_sim_result("headline", 1000, 1.0)])
-        current = _report(2, [_sim_result("headline", 1000, 1.0),
-                              _sim_result("fresh", 1000, 1.0)])
+        current = _report(2, [_sim_result("headline", 1000, 1.0), _sim_result("fresh", 1000, 1.0)])
         assert compare_reports(baseline, current).ok
 
     def test_invalid_threshold_rejected(self):
@@ -214,9 +277,7 @@ class TestCompare:
 
     def test_unshared_scenarios_need_not_match(self):
         baseline = _report(1, [_sim_result("headline", 1000, 1.0)])
-        current = _report(
-            2, [_sim_result("headline", 1000, 1.0), _sim_result("fresh", 9000, 1.0)]
-        )
+        current = _report(2, [_sim_result("headline", 1000, 1.0), _sim_result("fresh", 9000, 1.0)])
         assert compare_reports(baseline, current).ok
 
 
@@ -226,16 +287,30 @@ class TestCli:
         out = capsys.readouterr().out
         assert "headline/gcc/register-file-cache" in out
 
+    def test_cli_list_drops_components_on_request(self, capsys):
+        assert bench_main(["--quick", "--list", "--no-components"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        expected = [s.name for s in all_scenarios(quick=True) if s.kind != "component"]
+        assert [line.split(": ")[0] for line in lines] == expected
+
     def test_cli_run_filter_and_compare_roundtrip(self, tmp_path, capsys):
-        argv = ["--quick", "--repeats", "1", "--filter", "matrix/gcc/1-cycle",
-                "--no-components", "--quiet", "--output-dir", str(tmp_path)]
+        argv = [
+            "--quick",
+            "--repeats",
+            "1",
+            "--filter",
+            "matrix/gcc/1-cycle",
+            "--no-components",
+            "--quiet",
+            "--output-dir",
+            str(tmp_path),
+        ]
         assert bench_main(argv) == 0
         assert bench_main(argv) == 0
         reports = sorted(tmp_path.glob("BENCH_*.json"))
         assert [p.name for p in reports] == ["BENCH_1.json", "BENCH_2.json"]
         capsys.readouterr()
-        code = bench_main(["compare", str(reports[0]), str(reports[1]),
-                           "--threshold", "0.9"])
+        code = bench_main(["compare", str(reports[0]), str(reports[1]), "--threshold", "0.9"])
         out = capsys.readouterr().out
         assert "perf gate verdict" in out
         assert code == 0
@@ -262,9 +337,7 @@ class TestCli:
     def test_same_code_same_digest(self, tmp_path):
         """Two runs of the same scenario must agree on the stats digest."""
         scenario = with_budget(headline_scenario(quick=True), 200)
-        runner = BenchmarkRunner(repeats=1, simulations=[scenario],
-                                 sweeps=[], sampled_sweeps=[], services=[], stores=[],
-                                 include_components=False)
+        runner = BenchmarkRunner(repeats=1, scenarios=[scenario])
         first = runner.run(index=1).scenarios[0].stats_digest
         second = runner.run(index=2).scenarios[0].stats_digest
         assert first == second
@@ -277,35 +350,38 @@ class TestCli:
         import hashlib
 
         from repro.bench.scenarios import SweepScenario
+        from repro.canonical import canonical_json
         from repro.experiments.scheduler import run_simulation_point
 
-        replay = SweepScenario(name="sweep/x/replay", profile="gcc",
-                               instructions=400, use_trace_replay=True)
-        live = SweepScenario(name="sweep/x/live", profile="gcc",
-                             instructions=400, use_trace_replay=False)
+        replay = SweepScenario(
+            name="sweep/x/replay", profile="gcc", instructions=400, use_trace_replay=True
+        )
+        live = SweepScenario(
+            name="sweep/x/live", profile="gcc", instructions=400, use_trace_replay=False
+        )
         replay_out = replay.run()
         live_out = live.run()
-        assert replay_out["points"] == live_out["points"] == 16
-        assert replay_out["summary"]["traces_recorded"] == 1
+        assert replay_out.operations == live_out.operations == 16
+        assert replay_out.metadata["scheduler_summary"]["traces_recorded"] == 1
 
         reference = hashlib.sha256()
         for point in replay.points():
-            reference.update(json.dumps(
-                run_simulation_point(point).to_dict(), sort_keys=True,
-                separators=(",", ":"), default=str,
-            ).encode("utf-8"))
-        assert replay_out["stats_digest"] == reference.hexdigest()
-        assert live_out["stats_digest"] == reference.hexdigest()
+            stats = run_simulation_point(point).to_dict()
+            reference.update(canonical_json(stats).encode("utf-8"))
+        assert replay_out.stats_digest == reference.hexdigest()
+        assert live_out.stats_digest == reference.hexdigest()
 
     def test_sweep_result_in_report(self):
         from repro.bench.scenarios import SweepScenario
 
-        sweep = SweepScenario(name="sweep/x/replay", profile="gcc",
-                              instructions=300, use_trace_replay=True,
-                              headline_sweep=True)
-        runner = BenchmarkRunner(repeats=1, simulations=[], sweeps=[sweep],
-                                 sampled_sweeps=[], services=[], stores=[],
-                                 include_components=False)
+        sweep = SweepScenario(
+            name="sweep/x/replay",
+            profile="gcc",
+            instructions=300,
+            use_trace_replay=True,
+            headline_sweep=True,
+        )
+        runner = BenchmarkRunner(repeats=1, scenarios=[sweep])
         report = runner.run(index=1)
         [result] = report.scenarios
         assert result.kind == "sweep"
@@ -320,14 +396,15 @@ class TestStoreScenario:
     def _scenario(self):
         from repro.bench.scenarios import StoreScenario
 
-        return StoreScenario(name="store_throughput/sharded-segment-log",
-                             entries=60, value_bytes=256, read_passes=1)
+        return StoreScenario(
+            name="store_throughput/sharded-segment-log",
+            entries=60,
+            value_bytes=256,
+            read_passes=1,
+        )
 
     def test_store_result_in_report(self):
-        runner = BenchmarkRunner(repeats=1, simulations=[], sweeps=[],
-                                 sampled_sweeps=[], services=[],
-                                 stores=[self._scenario()],
-                                 include_components=False)
+        runner = BenchmarkRunner(repeats=1, scenarios=[self._scenario()])
         report = runner.run(index=1)
         [result] = report.scenarios
         assert result.kind == "store"
@@ -353,7 +430,7 @@ class TestStoreScenario:
 
     def test_deterministic_digest(self):
         scenario = self._scenario()
-        assert scenario.run()["stats_digest"] == scenario.run()["stats_digest"]
+        assert scenario.run().stats_digest == scenario.run().stats_digest
 
 
 class TestSampledSweepScenario:
@@ -370,13 +447,14 @@ class TestSampledSweepScenario:
 
     def test_outcome_reports_speedup_and_interval(self):
         outcome = self._scenario().run()
-        assert outcome["points"] == 1  # one architecture, measured both ways
-        assert outcome["summary"]["architectures"] == ["mono-1c"]
-        assert outcome["summary"]["exact_points"] == 1
-        assert outcome["summary"]["sampled_points"] == 1
-        assert outcome["per_point_speedup"] > 0
-        assert outcome["sampling"]["stride"] == 500
-        assert outcome["exact_seconds"] > 0 and outcome["sampled_seconds"] > 0
+        assert outcome.operations == 1  # one architecture, measured both ways
+        metadata = outcome.metadata
+        assert metadata["summary"]["architectures"] == ["mono-1c"]
+        assert metadata["summary"]["exact_points"] == 1
+        assert metadata["summary"]["sampled_points"] == 1
+        assert metadata["per_point_speedup"] > 0
+        assert metadata["sampling"]["stride"] == 500
+        assert metadata["exact_seconds"] > 0 and metadata["sampled_seconds"] > 0
 
     def test_quick_and_full_share_the_gate_name(self):
         from repro.bench.scenarios import sampled_sweep_scenarios
@@ -390,19 +468,20 @@ class TestSampledSweepScenario:
         assert quick.instructions == full.instructions
 
     def test_deterministic_digest(self):
-        assert (self._scenario().run()["stats_digest"]
-                == self._scenario().run()["stats_digest"])
+        assert self._scenario().run().stats_digest == self._scenario().run().stats_digest
 
     def test_runner_copies_sampling_metadata(self):
-        runner = BenchmarkRunner(repeats=1, simulations=[], sweeps=[],
-                                 sampled_sweeps=[self._scenario()],
-                                 services=[], stores=[],
-                                 include_components=False)
+        runner = BenchmarkRunner(repeats=1, scenarios=[self._scenario()])
         report = runner.run(index=1)
         (result,) = report.scenarios
         assert result.kind == "sweep"
-        for field in ("exact_seconds", "sampled_seconds",
-                      "per_point_speedup", "sampling", "summary"):
+        for field in (
+            "exact_seconds",
+            "sampled_seconds",
+            "per_point_speedup",
+            "sampling",
+            "summary",
+        ):
             assert field in result.metadata
 
 

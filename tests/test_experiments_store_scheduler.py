@@ -150,6 +150,30 @@ class TestScheduler:
         assert summary["executed"] == 2
         assert len(store) == 2
 
+    def test_memory_trace_store_keeps_parallel_recordings(self):
+        """A worker-recorded trace lands in a memory-only trace store, so
+        a later execute on the same trace group replays it."""
+        from repro.trace import TraceStore
+
+        one_cycle = _point("gcc")
+        rfc = SimulationPoint(
+            benchmark="gcc",
+            factory=register_file_cache_factory(),
+            architecture="rfc",
+            config=TINY.processor_config(),
+            warmup_instructions=TINY.warmup_instructions,
+        )
+        assert one_cycle.trace_key() == rfc.trace_key()
+        engine = SweepEngine(ResultStore(), trace_store=TraceStore(), jobs=2)
+        try:
+            first = engine.execute([one_cycle])
+            second = engine.execute([rfc])
+        finally:
+            engine.close()
+        assert (first["traces_recorded"], first["traces_reused"]) == (1, 0)
+        assert (second["traces_recorded"], second["traces_reused"]) == (0, 1)
+        assert engine.store.get(rfc.store_key()).to_dict() == run_simulation_point(rfc).to_dict()
+
     def test_store_keys_are_stable(self):
         """Keys of a fixed plan never drift: a key change silently turns
         every existing cache tree into misses.  The keys were recorded

@@ -15,7 +15,7 @@ import urllib.request
 
 import pytest
 
-from repro.service import ServiceApp, ServiceClient, ServiceError, build_server
+from repro.service import InProcessService, ServiceClient, ServiceError
 from repro.service import client as client_module
 from repro.service.__main__ import main as service_main
 from repro.service.jobs import COMPLETED
@@ -32,16 +32,8 @@ FIGURE_SPEC = {
 
 @pytest.fixture
 def service(tmp_path):
-    app = ServiceApp(cache_dir=str(tmp_path), jobs=1, job_concurrency=2)
-    server = build_server(app, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    app.start()
-    url = f"http://127.0.0.1:{server.server_address[1]}"
-    yield url, app
-    server.shutdown()
-    server.server_close()
-    app.stop()
+    with InProcessService(cache_dir=str(tmp_path), jobs=1, job_concurrency=2) as svc:
+        yield svc.url, svc.app
 
 
 def raw_request(url: str, method: str = "GET", body: bytes = None,

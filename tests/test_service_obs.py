@@ -10,15 +10,13 @@ served before the registry existed.
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.obs.events import read_events, unfinished_spans
 from repro.obs.prometheus import parse as parse_prometheus
-from repro.service.app import EVENTS_SUBDIR, ServiceApp
+from repro.service.app import EVENTS_SUBDIR
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.server import build_server
+from repro.service.server import InProcessService
 
 
 def _spec(n=2, instructions=400):
@@ -41,16 +39,9 @@ class _Run:
 @pytest.fixture(scope="module")
 def run(tmp_path_factory):
     cache_dir = str(tmp_path_factory.mktemp("obs-e2e"))
-    app = ServiceApp(cache_dir=cache_dir, jobs=1, job_concurrency=1)
-    server = build_server(app, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    app.start()
     captured = _Run()
-    try:
-        client = ServiceClient(
-            f"http://127.0.0.1:{server.server_address[1]}", timeout=30.0
-        )
+    with InProcessService(cache_dir=cache_dir, jobs=1, job_concurrency=1) as svc:
+        client = ServiceClient(svc.url, timeout=30.0)
         phases = []
         job = client.submit(_spec())
         record = client.watch(job["id"], interval=0.05, timeout=120.0,
@@ -67,10 +58,6 @@ def run(tmp_path_factory):
         captured.events = list(client.events(since=0, stop_on_idle=True))
         captured.breakdown = client.job_span_breakdown(job["id"])
         captured.client = client
-    finally:
-        server.shutdown()
-        server.server_close()
-        app.stop(drain=True, timeout=60.0)
     captured.disk_events = read_events(
         f"{cache_dir}/{EVENTS_SUBDIR}"
     )
@@ -188,39 +175,18 @@ class TestMetricsShapes:
 
 class TestDegradation:
     def test_events_endpoint_404s_without_a_bus(self):
-        app = ServiceApp(cache_dir=None, jobs=1)  # no cache dir: no bus
-        server = build_server(app, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        app.start()
-        try:
-            client = ServiceClient(
-                f"http://127.0.0.1:{server.server_address[1]}", timeout=10.0
-            )
+        # No cache dir: no event bus.
+        with InProcessService(cache_dir=None, jobs=1) as svc:
+            client = ServiceClient(svc.url, timeout=10.0)
             with pytest.raises(ServiceError) as info:
                 list(client.events(since=0, stop_on_idle=True))
             assert info.value.code == "events_unavailable"
             # The breakdown helper degrades to None, never raises.
             assert client.job_span_breakdown("nope") is None
-        finally:
-            server.shutdown()
-            server.server_close()
-            app.stop()
 
     def test_bad_since_is_a_structured_400(self, tmp_path):
-        app = ServiceApp(cache_dir=str(tmp_path), jobs=1)
-        server = build_server(app, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        app.start()
-        try:
-            client = ServiceClient(
-                f"http://127.0.0.1:{server.server_address[1]}", timeout=10.0
-            )
+        with InProcessService(cache_dir=str(tmp_path), jobs=1) as svc:
+            client = ServiceClient(svc.url, timeout=10.0)
             with pytest.raises(ServiceError) as info:
                 client._request("GET", "/events?since=banana", raw=True)
             assert info.value.status == 400
-        finally:
-            server.shutdown()
-            server.server_close()
-            app.stop()
