@@ -9,12 +9,14 @@ remainder with the **trace-once / replay-many** engine:
 * pending points are grouped by their decoded-trace key — one
   (workload, frontend configuration) pair per group; every register-file
   architecture and backend configuration in a sweep shares one group;
-* each group's trace is recorded once (one canonical pipeline run over
-  the stream prefix the group's replays can fetch, see
+* each group's trace is recorded once (one pipeline run over the
+  stream prefix the group's replays can fetch, see
   :meth:`SimulationPoint.trace_reach` and :mod:`repro.trace`) unless the
   :class:`~repro.trace.store.TraceStore` already holds a trace that
-  covers it;
-* the group's points are then *replayed* against the trace, skipping
+  covers it; the recording run is also the group's first point, whose
+  result is harvested from it unless the point is sampled;
+* the group's other points are then *replayed* against the trace (a
+  sampled point is estimated from it), skipping
   workload generation and the whole frontend while reproducing the
   live-run statistics bit for bit.
 
@@ -161,21 +163,16 @@ def build_point_stream(point: SimulationPoint):
 
 
 def _recording_doubles_as_run(point: SimulationPoint) -> bool:
-    """Whether recording with ``point``'s own factory *is* its live run.
+    """Whether recording on ``point``'s backend can also be its live run.
 
-    A whole-stream recording commits the whole stream and disables
-    occupancy collection; when the point already commits the whole stream
-    (its reach is the whole stream, so its recording is never cut short)
-    and asks for neither occupancy nor an explicit cycle cap, the
-    recording run's statistics equal the point's live statistics.
+    The recorder runs an exact point unchanged — warm-up slack,
+    occupancy collection and cycle cap included — until it stops, keeps
+    its statistics, and only then raises the commit limit to finish the
+    trace.  A sampled point is not one pipeline run, so its group
+    records on the canonical backend and the point is then estimated
+    from the trace.
     """
-    config = point.config
-    return (
-        point.warmup_instructions == 0
-        and point.sampling is None
-        and not config.collect_occupancy
-        and config.max_cycles is None
-    )
+    return point.sampling is None
 
 
 def record_point_trace(point: SimulationPoint, reach: Optional[int] = None):
@@ -184,8 +181,8 @@ def record_point_trace(point: SimulationPoint, reach: Optional[int] = None):
     ``point``'s result when eligible.  Returns ``(trace, stats_or_None)``."""
     if _seams.active is not None:
         # Chaos seam: the recording run doubles as this point's
-        # execution on the jobs=1 path, so worker faults must be able
-        # to land here as well as in run_simulation_point.
+        # execution, so worker faults must be able to land here as well
+        # as in run_simulation_point.
         _seams.active.fire(
             "engine.point",
             benchmark=point.benchmark,
@@ -193,16 +190,14 @@ def record_point_trace(point: SimulationPoint, reach: Optional[int] = None):
         )
     if reach is None:
         reach = point.trace_reach()
-    harvest = _recording_doubles_as_run(point)
-    trace, stats = record_trace_with_stats(
+    return record_trace_with_stats(
         point.benchmark,
         build_point_stream(point),
         point.config,
         point.workload_identity(),
-        canonical_factory=point.factory if harvest else None,
+        factory=point.factory if _recording_doubles_as_run(point) else None,
         reach=reach if reach < point.stream_length() else None,
     )
-    return trace, (stats if harvest else None)
 
 
 def run_simulation_point(
@@ -377,7 +372,8 @@ def fan_out(
 
 @dataclass(frozen=True)
 class _RecordTask:
-    """Record one group's trace in a worker, then replay its first point."""
+    """Record one group's trace in a worker, harvesting its first point
+    (replayed instead only when it is sampled)."""
 
     point: SimulationPoint
     cache_dir: Optional[str]
@@ -447,11 +443,15 @@ def _keep_worker_trace(trace: DecodedTrace) -> None:
     _WORKER_TRACES[trace.key] = trace
 
 
-def _worker_trace(key: str, payload: Optional[dict],
-                  cache_dir: Optional[str],
-                  points: Sequence[SimulationPoint]) -> DecodedTrace:
+def _worker_trace(
+    key: str, payload: Optional[dict], cache_dir: Optional[str],
+    points: Sequence[SimulationPoint],
+) -> Tuple[DecodedTrace, Optional[SimulationStats]]:
+    """The batch's trace, plus ``points[0]``'s result when this worker
+    had to record the trace itself and the recording run harvested it."""
     reach = _group_reach(points)
     trace = _WORKER_TRACES.get(key)
+    harvested = None
     if trace is None or not trace.serves(reach):
         trace = None
         if payload is not None:
@@ -461,9 +461,9 @@ def _worker_trace(key: str, payload: Optional[dict],
         if trace is None or not trace.serves(reach):
             # Disk entry vanished, was corrupt or holds a shorter prefix
             # than these points need: re-record locally.
-            trace = record_point_trace(points[0], reach)[0]
+            trace, harvested = record_point_trace(points[0], reach)
         _keep_worker_trace(trace)
-    return trace
+    return trace, harvested
 
 
 def _record_remote(task: _RecordTask) -> Tuple[Optional[dict], dict]:
@@ -496,11 +496,15 @@ def _batch_remote(batch: _TraceBatch) -> List[dict]:
     """Worker entry for a :class:`_TraceBatch`."""
     _obs_profile.maybe_enable_worker()
     telemetry, parent = _worker_telemetry(batch.obs)
-    trace = _worker_trace(
+    trace, harvested = _worker_trace(
         batch.trace_key, batch.payload, batch.cache_dir, batch.points
     )
     results = []
-    for point in batch.points:
+    points = batch.points
+    if harvested is not None:
+        results.append(harvested.to_dict())
+        points = points[1:]
+    for point in points:
         with _maybe_span(telemetry, "point.simulate", parent=parent,
                          strategy="replay", benchmark=point.benchmark):
             results.append(run_simulation_point(point, trace).to_dict())
@@ -904,8 +908,8 @@ class SweepEngine:
                     record(key, point, stats)
             return
 
-        # Parallel: phase R records one trace per missing group (each worker
-        # also replays the group's first point while the trace is hot), then
+        # Parallel: phase R records one trace per missing group (the
+        # recording run is also the group's first point), then
         # phase B batches the remaining points so each worker receives a
         # group's trace once per dispatch rather than once per point.
         on_disk = bool(traces.trace_dir)

@@ -142,6 +142,11 @@ class Processor:
             benchmark=benchmark_name,
             architecture=int_rf.describe(),
         )
+        # Run state lives on the instance so that :meth:`run` can resume
+        # after :meth:`raise_commit_limit`.
+        self.cycle = 0
+        self.max_instructions = self.config.max_instructions
+        self.max_cycles = self.config.effective_max_cycles
 
     # ------------------------------------------------------------------
     # setup helpers
@@ -162,12 +167,29 @@ class Processor:
     # main loop
     # ------------------------------------------------------------------
 
+    def raise_commit_limit(self, max_instructions: int) -> None:
+        """Let the next :meth:`run` continue up to ``max_instructions``.
+
+        The livelock guard becomes the default one for the new limit, as
+        if the config had asked for ``max_instructions`` and no explicit
+        ``max_cycles``.
+        """
+        self.max_instructions = max_instructions
+        self.max_cycles = self.config.with_overrides(
+            max_instructions=max_instructions, max_cycles=None
+        ).effective_max_cycles
+
     def run(self) -> SimulationStats:
-        """Run the simulation to completion and return the statistics."""
+        """Run the simulation until it stops and return the statistics.
+
+        A run stops once the commit limit is reached or the stream is
+        drained; after :meth:`raise_commit_limit`, calling it again
+        resumes from the next cycle.
+        """
         config = self.config
         stats = self.stats
-        max_cycles = config.effective_max_cycles
-        max_instructions = config.max_instructions
+        max_cycles = self.max_cycles
+        max_instructions = self.max_instructions
         fetch_unit = self.fetch_unit
         decode_queue = self._decode_queue
         completions = self._completions
@@ -193,7 +215,7 @@ class Processor:
         # simulated cycle, after that cycle's work: the final loop pass
         # can therefore not inflate ``stats.cycles``, which ends up being
         # exactly the number of cycles whose stages ran.
-        cycle = 0
+        cycle = self.cycle
         while True:
             if cycle > max_cycles:
                 raise SimulationError(
@@ -226,7 +248,7 @@ class Processor:
             if fetch_unit.exhausted and not decode_queue and not rob_entries:
                 break
 
-        stats.cycles = cycle
+        self.cycle = stats.cycles = cycle
         self._finalize_statistics()
         return stats
 
@@ -237,7 +259,7 @@ class Processor:
     def _commit_stage(self, cycle: int) -> None:
         stats = self.stats
         observer = self.commit_observer
-        max_instructions = self.config.max_instructions
+        max_instructions = self.max_instructions
         rob = self.rob
         rob_entries = self._rob_entries
         renamer = self.renamer

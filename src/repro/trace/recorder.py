@@ -1,12 +1,19 @@
-"""Recording the frontend of one canonical pipeline run.
+"""Recording the frontend of one pipeline run.
 
-The recorder runs one pipeline simulation (the cheapest architecture by
-default — a 1-cycle monolithic register file) with a
+The recorder runs one pipeline simulation with a
 :class:`RecordingFetchUnit` in place of the plain fetch unit.  Every
 branch resolves and trains the predictor exactly as a live run would, so
 the recorded events are valid for any replay that fetches no further
 than the recording did (a simulation with a higher commit limit is
 cycle-identical to one with a lower limit until the lower limit stops).
+
+The backend of that run does not change the events.  The sweep engine
+records on the backend of the trace group's first point and keeps that
+run's statistics as the point's result: the point runs unchanged until
+it stops, then the same processor continues under a raised commit limit
+until the trace is long enough for the whole group.  Callers without a
+point (sampled-only groups, :func:`record_trace`) record on the cheapest
+backend, a 1-cycle monolithic register file.
 
 A recording with a ``reach`` pulls the stream only as fetch consumes it
 and stops right after the fetch event that delivers instruction
@@ -19,6 +26,7 @@ recorded.
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Iterable, Optional
 
 from repro.frontend.btb import BranchTargetBuffer
@@ -27,7 +35,7 @@ from repro.frontend.gshare import GSharePredictor
 from repro.isa.instruction import DynamicInstruction
 from repro.memsys.cache import CacheModel
 from repro.pipeline.config import ProcessorConfig
-from repro.pipeline.processor import simulate
+from repro.pipeline.processor import Processor
 from repro.regfile.monolithic import SingleBankedRegisterFile
 from repro.trace.schema import (
     ENDS_BLOCKED,
@@ -40,21 +48,24 @@ from repro.trace.schema import (
 
 
 def _canonical_regfile() -> SingleBankedRegisterFile:
-    """The recording backend: cheap to simulate, timing-irrelevant.
+    """The recording backend when no point's backend is given: the
+    cheapest to simulate, and timing-irrelevant like any other.
 
     Frontend outcomes are backend-independent in this simulator: fetch
     blocks on every mispredicted branch until it resolves (so the
     history repair always precedes the next prediction) and group
     composition never reads the cycle counter — the backend only
-    determines how fast the recording run itself finishes.  The one
-    theoretical exception is gshare counter-*training* order between
-    in-flight branches (updates land at backend-dependent write-back
-    times), which could in principle flip an aliased prediction near a
-    saturation boundary.  Empirically it never does across the full
-    architecture matrix and severe backend perturbations —
+    determines how fast the recording run itself finishes, which is why
+    a recording on a point's own backend yields the same trace.  The
+    one theoretical exception is gshare counter-*training* order
+    between in-flight branches (updates land at backend-dependent
+    write-back times), which could in principle flip an aliased
+    prediction near a saturation boundary.  Empirically it never does
+    across the full architecture matrix and severe backend perturbations —
     ``tests/test_trace_replay.py`` and
     ``tests/test_validate_differential.py`` re-verify the bit-identity
-    contract (replay == live) on every tier-1 run.
+    contract (replay == live, and a harvested recording on every matrix
+    backend == this one) on every tier-1 run.
     """
     return SingleBankedRegisterFile(latency=1, bypass_levels=1)
 
@@ -120,24 +131,30 @@ def record_trace_with_stats(
     instructions: Iterable[DynamicInstruction],
     config: ProcessorConfig,
     workload_id: dict,
-    canonical_factory: Optional[Callable] = None,
+    factory: Optional[Callable] = None,
     reach: Optional[int] = None,
 ):
-    """Like :func:`record_trace`, also returning the recording run's stats.
+    """Like :func:`record_trace`, also harvesting a point's live result.
 
-    Without ``reach`` the recording run is a complete, fully live
-    simulation of ``(canonical_factory, config-with-the-stream-length-as-
-    commit-limit)``.  When the caller's point already commits the whole
-    stream (no warmup slack, no occupancy collection, no explicit cycle
-    cap) and ``canonical_factory`` is that point's own factory, the
-    returned statistics *are* the point's live results — the scheduler
-    harvests them instead of replaying the recording point a second time.
+    The recording's commit limit is the stream length without ``reach``
+    and ``reach + 1`` with one; with a ``reach`` below the stream length
+    the stream is pulled only as fetch consumes it and the run stops
+    right after the fetch event that delivers instruction ``reach + 1``.
+    The trace keeps exactly the events so far and the instructions they
+    delivered.
 
-    With a ``reach`` below the stream length, the stream is pulled only
-    as fetch consumes it and the run stops right after the fetch event
-    that delivers instruction ``reach + 1``; the trace keeps exactly the
-    events so far and the instructions they delivered, and the stats
-    returned are ``None``.
+    Without ``factory`` the recording runs the canonical backend
+    (:func:`_canonical_regfile`) at the recording's commit limit, with
+    neither occupancy collection nor an explicit cycle cap, and the
+    returned stats are ``None``.  With ``factory`` it first runs the
+    point ``(factory, config)`` unchanged and keeps a copy of its
+    statistics the cycle that run stops; it then raises the commit limit
+    to the recording's and continues the same processor until the
+    recording stops.  Frontend outcomes do not depend on the backend, so
+    the trace equals the canonical one, and the returned stats *are* the
+    point's live result — the scheduler harvests them instead of
+    replaying the point.  They are ``None`` if the recording stopped
+    before the point's run did (a ``reach`` below the point's own).
     """
     if reach is None:
         stream = list(instructions)
@@ -147,24 +164,36 @@ def record_trace_with_stats(
         # Committing ``reach + 1`` instructions needs them fetched, so the
         # commit limit can never end the run before the reach stop does.
         commit_limit = reach + 1
-    record_config = config.with_overrides(
-        max_instructions=commit_limit,
-        max_cycles=None,
-        collect_occupancy=False,
-    )
-    icache = CacheModel(record_config.icache, name="icache")
-    predictor = GSharePredictor(record_config.branch_predictor_entries)
-    btb = BranchTargetBuffer(record_config.btb_entries)
+    if factory is None:
+        run_factory = _canonical_regfile
+        run_config = config.with_overrides(
+            max_instructions=commit_limit,
+            max_cycles=None,
+            collect_occupancy=False,
+        )
+    else:
+        run_factory, run_config = factory, config
     unit = RecordingFetchUnit(
-        iter(stream), icache, predictor, btb, width=record_config.fetch_width,
+        iter(stream),
+        CacheModel(config.icache, name="icache"),
+        GSharePredictor(config.branch_predictor_entries),
+        BranchTargetBuffer(config.btb_entries),
+        width=config.fetch_width,
         reach=reach,
     )
-    factory = canonical_factory or _canonical_regfile
+    processor = Processor(None, run_factory, run_config, benchmark_name=name,
+                          frontend=unit)
+    stats = None
     try:
-        stats = simulate(None, factory, record_config, benchmark_name=name,
-                         frontend=unit)
+        stats = processor.run()
+        if stats.committed_instructions == run_config.max_instructions < commit_limit:
+            # The point stopped on its own commit limit: keep its result
+            # and run on until the recording is as long as the group needs.
+            stats = copy.deepcopy(stats)
+            processor.raise_commit_limit(commit_limit)
+            processor.run()
     except _ReachRecorded:
-        stats = None
+        pass
     trace = DecodedTrace(
         name=name,
         key=trace_key(workload_id, config),
@@ -173,7 +202,7 @@ def record_trace_with_stats(
         instructions=unit.instructions,
         events=unit.events,
     )
-    return trace, stats
+    return trace, (None if factory is None else stats)
 
 
 def record_trace(
@@ -181,18 +210,13 @@ def record_trace(
     instructions: Iterable[DynamicInstruction],
     config: ProcessorConfig,
     workload_id: dict,
-    canonical_factory: Optional[Callable] = None,
 ) -> DecodedTrace:
     """Run workload + frontend once and materialize the decoded trace.
 
     ``config`` supplies the frontend-relevant parameters; its backend
-    fields only affect how fast the recording run finishes.  The
-    returned trace replays bit-identically for any backend whose config
-    shares :func:`~repro.trace.schema.frontend_fingerprint` with
-    ``config`` and whose commit budget does not exceed the stream
-    length.
+    fields are not used.  The returned trace replays bit-identically for
+    any backend whose config shares
+    :func:`~repro.trace.schema.frontend_fingerprint` with ``config`` and
+    whose commit budget does not exceed the stream length.
     """
-    trace, _ = record_trace_with_stats(
-        name, instructions, config, workload_id, canonical_factory
-    )
-    return trace
+    return record_trace_with_stats(name, instructions, config, workload_id)[0]

@@ -322,7 +322,7 @@ class TestReplayIsNotAConfigField:
             assert (parallel_store.get(key).to_dict()
                     == serial_store.get(key).to_dict()), point.architecture
 
-    def test_occupancy_point_is_not_harvested_but_replays(self):
+    def test_occupancy_point_is_harvested_and_replays(self):
         config = ProcessorConfig(max_instructions=600, collect_occupancy=True)
         factory = validation_matrix()["monolithic-1c"]
         point = SimulationPoint(benchmark="gcc", factory=factory,
@@ -330,11 +330,10 @@ class TestReplayIsNotAConfigField:
         from repro.experiments.scheduler import record_point_trace
 
         trace, harvested = record_point_trace(point)
-        assert harvested is None  # occupancy collection disables the harvest
         live = run_simulation_point(point)
         replayed = run_simulation_point(point, trace)
-        assert replayed.to_dict() == live.to_dict()
-        assert replayed.occupancy_needed  # the distribution was collected
+        assert harvested.to_dict() == live.to_dict() == replayed.to_dict()
+        assert harvested.occupancy_needed  # the distribution was collected
 
 
 class TestPrefixRecording:
@@ -346,10 +345,10 @@ class TestPrefixRecording:
     """
 
     @staticmethod
-    def _point(name="monolithic-1c", sampling=None, **overrides):
+    def _point(name="monolithic-1c", sampling=None, profile="gcc", **overrides):
         config = ProcessorConfig(max_instructions=600).with_overrides(**overrides)
         return SimulationPoint(
-            benchmark="gcc", factory=validation_matrix()[name],
+            benchmark=profile, factory=validation_matrix()[name],
             architecture=name, config=config, warmup_instructions=N - 600,
             sampling=sampling,
         )
@@ -359,7 +358,9 @@ class TestPrefixRecording:
         from repro.experiments.scheduler import record_point_trace
 
         trace, stats = record_point_trace(self._point())
-        assert stats is None  # a stopped recording run has no result
+        # The point's run stopped before the recording did; its result
+        # is the one it had at that cycle.
+        assert stats.to_dict() == run_simulation_point(self._point()).to_dict()
         return trace
 
     def test_reach_bounds_the_recording(self, prefix_trace, gcc_trace):
@@ -465,12 +466,13 @@ class TestPrefixRecording:
         try:
             scheduler._WORKER_TRACES.clear()
             scheduler._WORKER_TRACES[key] = prefix_trace
-            cached = scheduler._worker_trace(key, None, None, [large])
+            cached, _ = scheduler._worker_trace(key, None, None, [large])
             assert cached.serves(large.trace_reach())
 
             scheduler._WORKER_TRACES.clear()
             TraceStore(str(tmp_path)).put(prefix_trace)
-            loaded = scheduler._worker_trace(key, None, str(tmp_path), [large])
+            loaded, _ = scheduler._worker_trace(key, None, str(tmp_path),
+                                                [large])
             assert loaded.serves(large.trace_reach())
             assert scheduler._WORKER_TRACES[key] is loaded
         finally:
@@ -502,3 +504,105 @@ class TestPrefixRecording:
             key = point.store_key()
             assert (parallel_store.get(key).to_dict()
                     == serial_store.get(key).to_dict()), point.architecture
+
+
+class TestHarvest:
+    """The recording run doubles as its group's first exact point.
+
+    The points commit 600 instructions of a 2000-instruction stream, so
+    the recorder runs each point unchanged until it stops, keeps its
+    statistics, and then continues the same processor until the trace
+    covers the group's reach.
+    """
+
+    _point = staticmethod(TestPrefixRecording._point)
+
+    @pytest.mark.parametrize("occupancy", [False, True])
+    @pytest.mark.parametrize("name", sorted(validation_matrix()))
+    def test_harvest_equals_live_and_replay(self, name, occupancy):
+        from repro.experiments.scheduler import record_point_trace
+
+        point = self._point(name, collect_occupancy=occupancy)
+        trace, harvested = record_point_trace(point)
+        live = run_simulation_point(point)
+        replayed = run_simulation_point(point, trace)
+        assert harvested.to_dict() == live.to_dict() == replayed.to_dict()
+        assert bool(harvested.occupancy_needed) == occupancy
+
+    @pytest.fixture(scope="class")
+    def canonical_traces(self):
+        """Canonical 1-cycle recordings at a reach past every point's own."""
+        from repro.trace.recorder import record_trace_with_stats
+
+        traces = {}
+        for profile in ("gcc", "swim"):
+            point = self._point(profile=profile)
+            reach = point.trace_reach() + 300
+            traces[profile] = record_trace_with_stats(
+                profile, _stream(profile, N), point.config,
+                point.workload_identity(), reach=reach,
+            )[0]
+        return traces
+
+    @pytest.mark.parametrize("profile", ["gcc", "swim"])
+    @pytest.mark.parametrize("name", sorted(validation_matrix()))
+    def test_harvested_trace_equals_canonical(self, canonical_traces, name,
+                                              profile):
+        from repro.experiments.scheduler import record_point_trace
+
+        point = self._point(name, profile=profile)
+        reach = point.trace_reach() + 300
+        trace, harvested = record_point_trace(point, reach)
+        assert harvested is not None
+        canonical = canonical_traces[profile]
+        assert trace.key == canonical.key
+        assert trace.events == canonical.events
+        assert trace.instructions == canonical.instructions
+
+    @staticmethod
+    def _count_processors(monkeypatch):
+        from repro.pipeline.processor import Processor
+
+        built = []
+        init = Processor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Processor, "__init__", counting_init)
+        return built
+
+    def test_cold_point_is_simulated_once(self, monkeypatch):
+        point = self._point("rfc-non-bypass")
+        built = self._count_processors(monkeypatch)
+        store = ResultStore()
+        summary = SweepEngine(store=store, jobs=1).execute([point])
+        assert summary["executed"] == 1 and summary["traces_recorded"] == 1
+        assert len(built) == 1
+        monkeypatch.undo()
+        assert (store.get(point.store_key()).to_dict()
+                == run_simulation_point(point).to_dict())
+
+    def test_worker_rerecord_harvests_the_first_point(self, monkeypatch,
+                                                      tmp_path):
+        from repro.experiments import scheduler
+
+        points = tuple(self._point(name)
+                       for name in sorted(validation_matrix())[:3])
+        batch = scheduler._TraceBatch(
+            points=points, trace_key=points[0].trace_key(), payload=None,
+            cache_dir=str(tmp_path),
+        )
+        saved = dict(scheduler._WORKER_TRACES)
+        try:
+            scheduler._WORKER_TRACES.clear()
+            built = self._count_processors(monkeypatch)
+            results = scheduler._batch_remote(batch)
+            assert len(built) == len(points)
+        finally:
+            monkeypatch.undo()
+            scheduler._WORKER_TRACES.clear()
+            scheduler._WORKER_TRACES.update(saved)
+        assert results == [run_simulation_point(point).to_dict()
+                           for point in points]
