@@ -7,8 +7,7 @@ budget and on the representative benchmark subset.
 
 from __future__ import annotations
 
-from benchmarks.conftest import REPRESENTATIVE_BENCHMARKS, run_once
-from repro.experiments import figure8
+from benchmarks.conftest import REPRESENTATIVE_BENCHMARKS, run_figure, run_once
 from repro.experiments.common import ExperimentSettings
 
 
@@ -19,7 +18,7 @@ def bench_figure8_performance_vs_area(benchmark):
         warmup_instructions=300,
         benchmarks=REPRESENTATIVE_BENCHMARKS,
     )
-    result = run_once(benchmark, figure8.run, settings)
+    result = run_once(benchmark, run_figure, "figure8", settings)
     print("\n" + result.render())
     for suite in ("SpecInt95", "SpecFP95"):
         per_architecture = result.data[suite]

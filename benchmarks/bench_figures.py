@@ -9,35 +9,25 @@ draws from each figure.
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
-from repro.experiments import (
-    figure1,
-    figure2,
-    figure3,
-    figure5,
-    figure6,
-    figure7,
-    figure9_table2,
-    headline,
-    value_reuse,
-)
+from benchmarks.conftest import run_figure, run_once
+from repro.experiments import figure1
 
 
-def bench_figure1_register_sweep(benchmark, bench_settings, bench_cache):
+def bench_figure1_register_sweep(benchmark, bench_settings, bench_store):
     """Figure 1: IPC vs number of physical registers."""
-    result = run_once(benchmark, figure1.run, bench_settings,
-                      (64, 128, 192), bench_cache)
+    result = run_once(benchmark, run_figure, "figure1", bench_settings, bench_store)
     print("\n" + result.render())
     series = result.data["series"]
+    counts = list(figure1.REGISTER_COUNTS)
     for suite in ("SpecInt95", "SpecFP95"):
         values = series[suite]
         # IPC must not degrade as registers are added, and must flatten.
-        assert values[-1] >= values[0] * 0.97
+        assert values[counts.index(192)] >= values[counts.index(64)] * 0.97
 
 
-def bench_figure2_latency_and_bypass(benchmark, bench_settings, bench_cache):
+def bench_figure2_latency_and_bypass(benchmark, bench_settings, bench_store):
     """Figure 2: 1-cycle vs 2-cycle vs 2-cycle/1-bypass."""
-    result = run_once(benchmark, figure2.run, bench_settings, bench_cache)
+    result = run_once(benchmark, run_figure, "figure2", bench_settings, bench_store)
     print("\n" + result.render())
     for suite in ("SpecInt95", "SpecFP95"):
         series = result.data[suite]
@@ -47,9 +37,9 @@ def bench_figure2_latency_and_bypass(benchmark, bench_settings, bench_cache):
         assert one >= full >= single
 
 
-def bench_figure3_register_occupancy(benchmark, bench_settings, bench_cache):
+def bench_figure3_register_occupancy(benchmark, bench_settings, bench_store):
     """Figure 3: distribution of registers holding needed values."""
-    result = run_once(benchmark, figure3.run, bench_settings, bench_cache)
+    result = run_once(benchmark, run_figure, "figure3", bench_settings, bench_store)
     print("\n" + result.render())
     for suite in ("SpecInt95", "SpecFP95"):
         needed = result.data[suite]["value_and_instruction"]
@@ -57,17 +47,17 @@ def bench_figure3_register_occupancy(benchmark, bench_settings, bench_cache):
         assert needed[24] > 75.0
 
 
-def bench_value_reuse_statistic(benchmark, bench_settings, bench_cache):
+def bench_value_reuse_statistic(benchmark, bench_settings, bench_store):
     """Section 3: fraction of values read at most once."""
-    result = run_once(benchmark, value_reuse.run, bench_settings, bench_cache)
+    result = run_once(benchmark, run_figure, "value_reuse", bench_settings, bench_store)
     print("\n" + result.render())
     for suite in ("SpecInt95", "SpecFP95"):
         assert result.data[suite]["read_at_most_once"] > 0.55
 
 
-def bench_figure5_caching_and_fetch_policies(benchmark, bench_settings, bench_cache):
+def bench_figure5_caching_and_fetch_policies(benchmark, bench_settings, bench_store):
     """Figure 5: the four caching/fetch policy combinations."""
-    result = run_once(benchmark, figure5.run, bench_settings, bench_cache)
+    result = run_once(benchmark, run_figure, "figure5", bench_settings, bench_store)
     print("\n" + result.render())
     for suite in ("SpecInt95", "SpecFP95"):
         series = result.data[suite]
@@ -77,9 +67,9 @@ def bench_figure5_caching_and_fetch_policies(benchmark, bench_settings, bench_ca
         assert best / worst < 1.35
 
 
-def bench_figure6_rfc_vs_single_bypass_baselines(benchmark, bench_settings, bench_cache):
+def bench_figure6_rfc_vs_single_bypass_baselines(benchmark, bench_settings, bench_store):
     """Figure 6: register file cache vs 1-cycle and 2-cycle (1 bypass)."""
-    result = run_once(benchmark, figure6.run, bench_settings, bench_cache)
+    result = run_once(benchmark, run_figure, "figure6", bench_settings, bench_store)
     print("\n" + result.render())
     for suite in ("SpecInt95", "SpecFP95"):
         series = result.data[suite]
@@ -89,9 +79,9 @@ def bench_figure6_rfc_vs_single_bypass_baselines(benchmark, bench_settings, benc
         assert two < rfc <= one * 1.05
 
 
-def bench_figure7_rfc_vs_full_bypass(benchmark, bench_settings, bench_cache):
+def bench_figure7_rfc_vs_full_bypass(benchmark, bench_settings, bench_store):
     """Figure 7: register file cache vs 2-cycle full-bypass file."""
-    result = run_once(benchmark, figure7.run, bench_settings, bench_cache)
+    result = run_once(benchmark, run_figure, "figure7", bench_settings, bench_store)
     print("\n" + result.render())
     for suite in ("SpecInt95", "SpecFP95"):
         pct = result.data[suite + "_summary"]["vs_two_cycle_full_pct"]
@@ -99,9 +89,9 @@ def bench_figure7_rfc_vs_full_bypass(benchmark, bench_settings, bench_cache):
         assert -35.0 < pct < 15.0
 
 
-def bench_figure9_table2_throughput(benchmark, bench_settings, bench_cache):
+def bench_figure9_table2_throughput(benchmark, bench_settings, bench_store):
     """Table 2 + Figure 9: throughput once access time is factored in."""
-    result = run_once(benchmark, figure9_table2.run, bench_settings, bench_cache)
+    result = run_once(benchmark, run_figure, "figure9", bench_settings, bench_store)
     print("\n" + result.render())
     for suite in ("SpecInt95", "SpecFP95"):
         best = result.data[suite + "_best"]
@@ -110,9 +100,9 @@ def bench_figure9_table2_throughput(benchmark, bench_settings, bench_cache):
         assert rfc > best["1-cycle"] * 1.3
 
 
-def bench_headline_claims(benchmark, bench_settings, bench_cache):
+def bench_headline_claims(benchmark, bench_settings, bench_store):
     """The paper's headline claims, paper vs measured."""
-    result = run_once(benchmark, headline.run, bench_settings, bench_cache)
+    result = run_once(benchmark, run_figure, "headline", bench_settings, bench_store)
     print("\n" + result.render())
     measured = result.data["measured"]
     assert measured["SpecInt95|throughput vs 1-cycle (best config)"] > 30.0

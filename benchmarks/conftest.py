@@ -21,7 +21,9 @@ try:  # pragma: no cover
 except ModuleNotFoundError:  # pragma: no cover
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.experiments.common import ExperimentSettings, SimulationCache
+from repro.experiments.common import ExperimentSettings
+from repro.experiments.runner import run_experiments
+from repro.experiments.store import ResultStore
 
 #: Benchmarks used by the reduced-scale sweeps (2 int + 2 fp, covering the
 #: latency-sensitive and the memory-bound corners).
@@ -49,9 +51,15 @@ def bench_settings() -> ExperimentSettings:
 
 
 @pytest.fixture(scope="session")
-def bench_cache(bench_settings) -> SimulationCache:
-    """One shared simulation cache so figures can reuse baseline runs."""
-    return SimulationCache(bench_settings)
+def bench_store() -> ResultStore:
+    """One shared result store so figures can reuse baseline runs."""
+    return ResultStore()
+
+
+def run_figure(name, settings, store=None):
+    """Simulate one experiment's points, then render its report."""
+    (result,) = run_experiments([name], settings, store=store)
+    return result
 
 
 def run_once(benchmark, function, *args, **kwargs):

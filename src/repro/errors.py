@@ -42,5 +42,9 @@ class ValidationError(ReproError):
     (malformed instruction stream, incomparable reports, bad fault spec)."""
 
 
+class MissingResultError(ReproError):
+    """An experiment asked for a simulation result the store does not hold."""
+
+
 class ModelError(ReproError):
     """The analytical area/access-time model was queried out of range."""

@@ -1,15 +1,18 @@
 """Experiment harness: one module per figure/table of the paper's evaluation.
 
-Every experiment module exposes two functions:
+Every experiment module lists its points exactly once:
 
-* ``plan(settings)`` declares the simulation points the experiment needs
-  as :class:`~repro.experiments.scheduler.SimulationPoint` objects; the
-  scheduler deduplicates them across experiments and fans them out over
-  worker processes.
-* ``run(settings, cache=...)`` assembles an
+* ``ARCHITECTURES`` declares, in order, the
+  :class:`~repro.experiments.common.Architecture` objects the experiment
+  compares; every benchmark of the active suites runs on each of them.
+  :func:`~repro.experiments.runner.plan_experiments` turns them into
+  simulation points, which the scheduler deduplicates across experiments
+  and fans out over worker processes.
+* ``render(settings, results)`` assembles an
   :class:`~repro.experiments.common.ExperimentResult` (whose ``render()``
-  prints the same rows/series the paper reports) from cached results,
-  simulating in-process anything the plan missed.
+  prints the same rows/series the paper reports) from a read-only
+  :class:`~repro.experiments.common.ResultsView`.  It never simulates: a
+  missing point raises :class:`~repro.errors.MissingResultError`.
 
 The :mod:`repro.experiments.runner` module ties them together for the
 command line::
@@ -19,9 +22,10 @@ command line::
 """
 
 from repro.experiments.common import (
+    Architecture,
     ExperimentSettings,
     ExperimentResult,
-    SimulationCache,
+    ResultsView,
     architecture_factories,
     one_cycle_factory,
     two_cycle_full_bypass_factory,
@@ -43,9 +47,10 @@ from repro.experiments import (
 )
 
 __all__ = [
+    "Architecture",
     "ExperimentSettings",
     "ExperimentResult",
-    "SimulationCache",
+    "ResultsView",
     "architecture_factories",
     "one_cycle_factory",
     "two_cycle_full_bypass_factory",

@@ -18,18 +18,17 @@ a configurable benchmark subset:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.analysis.tables import format_series
 from repro.experiments.common import (
+    Architecture,
     ExperimentResult,
     ExperimentSettings,
     OneLevelBankedFactory,
-    SimulationCache,
+    ResultsView,
     one_cycle_factory,
     register_file_cache_factory,
-    suite_harmonic_mean,
-    suite_points,
 )
 
 #: Upper-level capacities swept by the capacity ablation.
@@ -41,111 +40,63 @@ CACHING_POLICIES: Sequence[str] = ("non-bypass", "ready", "always", "never")
 #: Bank counts for the one-level organisation.
 BANK_COUNTS: Sequence[int] = (2, 4)
 
+ONE_CYCLE = Architecture("1-cycle", one_cycle_factory(), label="1-cycle file")
+REGISTER_FILE_CACHE = Architecture("rfc/non-bypass/prefetch-first-pair",
+                                   register_file_cache_factory(),
+                                   label="register file cache")
+CAPACITIES = tuple(
+    Architecture(f"rfc/cap{capacity}",
+                 register_file_cache_factory(upper_capacity=capacity),
+                 label=f"{capacity} regs")
+    for capacity in UPPER_CAPACITIES
+)
+POLICIES = tuple(
+    Architecture(f"rfc/policy/{policy}", register_file_cache_factory(caching=policy),
+                 label=policy)
+    for policy in CACHING_POLICIES
+)
+BUSES = tuple(
+    Architecture(f"rfc/buses{buses}", register_file_cache_factory(buses=buses),
+                 label=f"{buses} buses")
+    for buses in BUS_COUNTS
+)
+ONE_LEVEL = tuple(
+    Architecture(f"one-level/{banks}banks", OneLevelBankedFactory(num_banks=banks),
+                 label=f"one-level, {banks} banks")
+    for banks in BANK_COUNTS
+)
 
-def _suite_hmeans(cache: SimulationCache, factory, key: str) -> Dict[str, float]:
+ARCHITECTURES = (ONE_CYCLE, REGISTER_FILE_CACHE, *CAPACITIES, *POLICIES, *BUSES,
+                 *ONE_LEVEL)
+
+
+def _series(settings: ExperimentSettings, results: ResultsView,
+            architectures: Sequence[Architecture]) -> Dict[str, Dict[str, float]]:
+    """Harmonic-mean IPC per suite, one column per architecture label."""
     return {
-        label: suite_harmonic_mean(cache.suite_ipcs(suite, factory, key))
-        for suite, label in cache.settings.active_suite_labels()
+        label: {architecture.label: results.hmean(suite, architecture)
+                for architecture in architectures}
+        for suite, label in settings.active_suite_labels()
     }
 
 
-def _rfc_baseline_arch() -> tuple:
-    return (register_file_cache_factory(), "rfc/non-bypass/prefetch-first-pair")
-
-
-def _capacity_arch(capacity: int) -> tuple:
-    return (register_file_cache_factory(upper_capacity=capacity),
-            f"rfc/cap{capacity}")
-
-
-def _policy_arch(policy: str) -> tuple:
-    return (register_file_cache_factory(caching=policy), f"rfc/policy/{policy}")
-
-
-def _bus_arch(buses: int) -> tuple:
-    return (register_file_cache_factory(buses=buses), f"rfc/buses{buses}")
-
-
-def _banked_arch(banks: int, read_ports_per_bank: int = 2,
-                 write_ports_per_bank: int = 2) -> tuple:
-    return (
-        OneLevelBankedFactory(
-            num_banks=banks,
-            read_ports_per_bank=read_ports_per_bank,
-            write_ports_per_bank=write_ports_per_bank,
-        ),
-        f"one-level/{banks}banks",
-    )
-
-
-def _swept_architectures(
-    capacities: Sequence[int] = UPPER_CAPACITIES,
-    policies: Sequence[str] = CACHING_POLICIES,
-    bus_counts: Sequence[int] = BUS_COUNTS,
-    bank_counts: Sequence[int] = BANK_COUNTS,
-) -> list:
-    """Every (factory, key) pair the four ablation sweeps evaluate."""
-    pairs: list = [
-        (one_cycle_factory(), "1-cycle"),
-        _rfc_baseline_arch(),
-    ]
-    pairs += [_capacity_arch(capacity) for capacity in capacities]
-    pairs += [_policy_arch(policy) for policy in policies]
-    pairs += [_bus_arch(buses) for buses in bus_counts]
-    pairs += [_banked_arch(banks) for banks in bank_counts]
-    return pairs
-
-
-def plan(settings: ExperimentSettings) -> list:
-    """Simulation points the ablation sweeps need (parallel scheduler)."""
-    points: list = []
-    for factory, key in _swept_architectures():
-        points += suite_points(settings, ("int", "fp"), factory, key)
-    return points
-
-
-def upper_capacity_sweep(
-    settings: Optional[ExperimentSettings] = None,
-    cache: Optional[SimulationCache] = None,
-    capacities: Sequence[int] = UPPER_CAPACITIES,
-) -> ExperimentResult:
+def upper_capacity_sweep(settings: ExperimentSettings,
+                         results: ResultsView) -> ExperimentResult:
     """IPC of the register file cache as the upper-level size varies."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
-    series: Dict[str, Dict[str, float]] = {
-        label: {} for _suite, label in settings.active_suite_labels()
-    }
-    for capacity in capacities:
-        hmeans = _suite_hmeans(cache, *_capacity_arch(capacity))
-        for suite, value in hmeans.items():
-            series[suite][f"{capacity} regs"] = value
-    baseline = _suite_hmeans(cache, one_cycle_factory(), "1-cycle")
-    for suite, value in baseline.items():
-        series[suite]["1-cycle file"] = value
+    series = _series(settings, results, (*CAPACITIES, ONE_CYCLE))
     body = format_series(series, title="Harmonic-mean IPC vs upper-level capacity")
     return ExperimentResult(
         name="Ablation: upper-level capacity",
         title="Register file cache IPC for varying upper-level sizes",
         body=body,
-        data={"series": series, "capacities": list(capacities)},
+        data={"series": series, "capacities": list(UPPER_CAPACITIES)},
     )
 
 
-def caching_policy_sweep(
-    settings: Optional[ExperimentSettings] = None,
-    cache: Optional[SimulationCache] = None,
-    policies: Sequence[str] = CACHING_POLICIES,
-) -> ExperimentResult:
+def caching_policy_sweep(settings: ExperimentSettings,
+                         results: ResultsView) -> ExperimentResult:
     """IPC of the register file cache under different caching policies."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
-    series: Dict[str, Dict[str, float]] = {
-        label: {} for _suite, label in settings.active_suite_labels()
-    }
-    for policy in policies:
-        hmeans = _suite_hmeans(cache, *_policy_arch(policy))
-        for suite, value in hmeans.items():
-            series[suite][policy] = value
+    series = _series(settings, results, POLICIES)
     body = format_series(series, title="Harmonic-mean IPC vs caching policy")
     return ExperimentResult(
         name="Ablation: caching policy",
@@ -155,21 +106,10 @@ def caching_policy_sweep(
     )
 
 
-def bus_count_sweep(
-    settings: Optional[ExperimentSettings] = None,
-    cache: Optional[SimulationCache] = None,
-    bus_counts: Sequence[int] = BUS_COUNTS,
-) -> ExperimentResult:
+def bus_count_sweep(settings: ExperimentSettings,
+                    results: ResultsView) -> ExperimentResult:
     """IPC of the register file cache as inter-level bandwidth varies."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
-    series: Dict[str, Dict[str, float]] = {
-        label: {} for _suite, label in settings.active_suite_labels()
-    }
-    for buses in bus_counts:
-        hmeans = _suite_hmeans(cache, *_bus_arch(buses))
-        for suite, value in hmeans.items():
-            series[suite][f"{buses} buses"] = value
+    series = _series(settings, results, BUSES)
     body = format_series(series, title="Harmonic-mean IPC vs number of inter-level buses")
     return ExperimentResult(
         name="Ablation: inter-level buses",
@@ -179,30 +119,10 @@ def bus_count_sweep(
     )
 
 
-def one_level_banked_comparison(
-    settings: Optional[ExperimentSettings] = None,
-    cache: Optional[SimulationCache] = None,
-    bank_counts: Sequence[int] = BANK_COUNTS,
-    read_ports_per_bank: int = 2,
-    write_ports_per_bank: int = 2,
-) -> ExperimentResult:
+def one_level_banked_comparison(settings: ExperimentSettings,
+                                results: ResultsView) -> ExperimentResult:
     """The one-level multiple-banked organisation vs the register file cache."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
-    series: Dict[str, Dict[str, float]] = {
-        label: {} for _suite, label in settings.active_suite_labels()
-    }
-    for banks in bank_counts:
-        hmeans = _suite_hmeans(
-            cache, *_banked_arch(banks, read_ports_per_bank, write_ports_per_bank)
-        )
-        for suite, value in hmeans.items():
-            series[suite][f"one-level, {banks} banks"] = value
-    rfc = _suite_hmeans(cache, *_rfc_baseline_arch())
-    one_cycle = _suite_hmeans(cache, one_cycle_factory(), "1-cycle")
-    for suite in series:
-        series[suite]["register file cache"] = rfc[suite]
-        series[suite]["1-cycle file"] = one_cycle[suite]
+    series = _series(settings, results, (*ONE_LEVEL, REGISTER_FILE_CACHE, ONE_CYCLE))
     body = format_series(series, title="Harmonic-mean IPC, one-level banked organisation")
     return ExperimentResult(
         name="Ablation: one-level organisation",
@@ -212,18 +132,13 @@ def one_level_banked_comparison(
     )
 
 
-def run(
-    settings: Optional[ExperimentSettings] = None,
-    cache: Optional[SimulationCache] = None,
-) -> ExperimentResult:
-    """Run all four ablations and concatenate their reports."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
+def render(settings: ExperimentSettings, results: ResultsView) -> ExperimentResult:
+    """All four ablations, their reports concatenated."""
     parts = [
-        upper_capacity_sweep(settings, cache),
-        caching_policy_sweep(settings, cache),
-        bus_count_sweep(settings, cache),
-        one_level_banked_comparison(settings, cache),
+        upper_capacity_sweep(settings, results),
+        caching_policy_sweep(settings, results),
+        bus_count_sweep(settings, results),
+        one_level_banked_comparison(settings, results),
     ]
     body = "\n\n".join(part.body for part in parts)
     return ExperimentResult(

@@ -10,11 +10,11 @@ builds a fresh register-file model, exactly like the old closures did.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.metrics import harmonic_mean
-from repro.errors import ConfigurationError
-from repro.experiments.scheduler import SimulationPoint, run_simulation_point
+from repro.errors import ConfigurationError, MissingResultError
+from repro.experiments.scheduler import SimulationPoint
 from repro.experiments.store import ResultStore
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.stats import SimulationStats
@@ -84,23 +84,6 @@ class ExperimentSettings:
                 f"(known: {', '.join(SPECINT95 + SPECFP95)})"
             )
         return [name for name in names if name in self.benchmarks]
-
-    def suite(self, which: str) -> Sequence[str]:
-        """Like :meth:`suite_selection`, but an empty selection raises.
-
-        Raises
-        ------
-        ConfigurationError
-            If the ``benchmarks`` filter names unknown benchmarks, or if
-            it excludes every benchmark of the explicitly requested suite.
-        """
-        selected = self.suite_selection(which)
-        if not selected:
-            raise ConfigurationError(
-                f"benchmark filter {sorted(self.benchmarks or ())} matches "
-                f"no benchmark of suite {which!r}"
-            )
-        return selected
 
     def active_suite_labels(self) -> List[tuple]:
         """The ("int"/"fp", display label) pairs the filter leaves non-empty.
@@ -270,110 +253,83 @@ def architecture_factories() -> Dict[str, RegfileFactory]:
 
 
 # ----------------------------------------------------------------------
-# simulation driving and caching
+# declared architectures and the results they render from
 # ----------------------------------------------------------------------
 
 
-class SimulationCache:
-    """Memoizes simulation results, optionally across processes and runs.
+@dataclass(frozen=True)
+class Architecture:
+    """One architecture an experiment declares.
 
-    Several figures share the same baseline runs (e.g. the 1-cycle
-    unlimited-port configuration); the cache avoids re-simulating them.
-    Results live in a :class:`~repro.experiments.store.ResultStore`,
-    keyed by a content hash of the benchmark, the architecture (factory
-    parameters included) and the **full** processor configuration — two
-    configs differing in any field never collide.  Hand the cache a store
-    with a ``cache_dir`` and results persist across invocations.
+    The experiment simulates every benchmark of the active suites on it.
+    ``key`` names it in the result store, ``factory`` builds its register
+    file and ``overrides`` adjust the processor configuration.  ``label``
+    and ``detail`` carry whatever the experiment's render needs (a series
+    name, a swept value, an area).
     """
 
-    def __init__(self, settings: ExperimentSettings,
-                 store: Optional[ResultStore] = None) -> None:
+    key: str
+    factory: RegfileFactory
+    overrides: Mapping[str, Any] = field(default_factory=dict)
+    label: str = ""
+    detail: Any = None
+
+    def points(self, settings: ExperimentSettings,
+               benchmarks: Sequence[str]) -> List[SimulationPoint]:
+        """The simulation point of each of ``benchmarks`` on this architecture."""
+        config = settings.processor_config(**self.overrides)
+        return [
+            SimulationPoint(
+                benchmark=benchmark,
+                factory=self.factory,
+                architecture=self.key,
+                config=config,
+                warmup_instructions=settings.warmup_instructions,
+                sampling=settings.sampling,
+            )
+            for benchmark in benchmarks
+        ]
+
+
+class ResultsView:
+    """Read-only view of the results an experiment renders from.
+
+    It never simulates: a point missing from the store raises
+    :class:`~repro.errors.MissingResultError`, so an experiment whose
+    render strays from its declaration fails loudly.
+    """
+
+    def __init__(self, settings: ExperimentSettings, store: ResultStore) -> None:
         self.settings = settings
-        self.store = store if store is not None else ResultStore()
+        self._store = store
 
-    def point(
-        self,
-        benchmark: str,
-        factory: RegfileFactory,
-        key: str,
-        config: Optional[ProcessorConfig] = None,
-    ) -> SimulationPoint:
-        """The :class:`SimulationPoint` that :meth:`run` would execute."""
-        return SimulationPoint(
-            benchmark=benchmark,
-            factory=factory,
-            architecture=key,
-            config=config or self.settings.processor_config(),
-            warmup_instructions=self.settings.warmup_instructions,
-            sampling=self.settings.sampling,
-        )
+    def stats(self, suite: str, architecture: Architecture) -> Dict[str, SimulationStats]:
+        """Statistics of every benchmark of ``suite`` on ``architecture``."""
+        found: Dict[str, SimulationStats] = {}
+        selected = self.settings.suite_selection(suite)
+        for point in architecture.points(self.settings, selected):
+            stats = self._store.get(point.store_key())
+            if stats is None:
+                raise MissingResultError(
+                    f"no result for benchmark {point.benchmark!r} on "
+                    f"architecture {point.architecture!r}: the sweep did not "
+                    f"run it, or the experiment renders a point it does not "
+                    f"declare"
+                )
+            found[point.benchmark] = stats
+        return found
 
-    def run(
-        self,
-        benchmark: str,
-        factory: RegfileFactory,
-        key: str,
-        config: Optional[ProcessorConfig] = None,
-    ) -> SimulationStats:
-        """Simulate ``benchmark`` on the architecture labelled ``key``."""
-        point = self.point(benchmark, factory, key, config)
-        store_key = point.store_key()
-        stats = self.store.get(store_key)
-        if stats is None:
-            stats = run_simulation_point(point)
-            self.store.put(store_key, stats, metadata=point.metadata())
-        return stats
+    def ipcs(self, suite: str, architecture: Architecture) -> Dict[str, float]:
+        """IPC of every benchmark of ``suite`` on ``architecture``."""
+        return {name: stats.ipc for name, stats in self.stats(suite, architecture).items()}
 
-    def suite_ipcs(
-        self,
-        suite: str,
-        factory: RegfileFactory,
-        key: str,
-        config: Optional[ProcessorConfig] = None,
-    ) -> Dict[str, float]:
-        """IPC of every benchmark of ``suite`` on one architecture."""
-        return {
-            benchmark: self.run(benchmark, factory, key, config).ipc
-            for benchmark in self.settings.suite(suite)
-        }
-
-
-def suite_points(
-    settings: ExperimentSettings,
-    suites: Sequence[str],
-    factory: RegfileFactory,
-    key: str,
-    config: Optional[ProcessorConfig] = None,
-) -> List[SimulationPoint]:
-    """The simulation points ``suite_ipcs`` would trigger, one per benchmark.
-
-    The ``plan`` function of each figure module is built out of these;
-    the scheduler deduplicates overlapping declarations across figures.
-    """
-    benchmarks: List[str] = []
-    for suite in suites:
-        benchmarks.extend(settings.suite_selection(suite))
-    resolved = config or settings.processor_config()
-    return [
-        SimulationPoint(
-            benchmark=benchmark,
-            factory=factory,
-            architecture=key,
-            config=resolved,
-            warmup_instructions=settings.warmup_instructions,
-            sampling=settings.sampling,
-        )
-        for benchmark in dict.fromkeys(benchmarks)
-    ]
-
-
-def suite_harmonic_mean(ipcs: Mapping[str, float]) -> float:
-    """Harmonic mean over a benchmark → IPC mapping."""
-    return harmonic_mean(ipcs.values())
+    def hmean(self, suite: str, architecture: Architecture) -> float:
+        """Harmonic-mean IPC of ``suite`` on ``architecture``."""
+        return harmonic_mean(self.ipcs(suite, architecture).values())
 
 
 def with_hmean(ipcs: Mapping[str, float]) -> Dict[str, float]:
     """Copy of ``ipcs`` with an ``Hmean`` entry appended."""
     extended = dict(ipcs)
-    extended["Hmean"] = suite_harmonic_mean(ipcs)
+    extended["Hmean"] = harmonic_mean(ipcs.values())
     return extended

@@ -9,71 +9,46 @@ the register count and flattens beyond roughly 128 registers.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
+from repro.analysis.metrics import harmonic_mean
 from repro.analysis.tables import format_figure
 from repro.experiments.common import (
+    Architecture,
     ExperimentResult,
     ExperimentSettings,
-    SimulationCache,
+    ResultsView,
     one_cycle_factory,
-    suite_harmonic_mean,
-    suite_points,
 )
-from repro.experiments.scheduler import SimulationPoint
 
 #: Register counts swept by the paper.
 REGISTER_COUNTS: tuple[int, ...] = (48, 64, 96, 128, 160, 192, 224, 256)
 
-
-def plan(
-    settings: ExperimentSettings,
-    register_counts: Sequence[int] = REGISTER_COUNTS,
-) -> list[SimulationPoint]:
-    """Simulation points Figure 1 needs (for the parallel scheduler)."""
-    factory = one_cycle_factory()
-    points: list[SimulationPoint] = []
-    for count in register_counts:
-        config = settings.processor_config(
-            num_int_physical=count,
-            num_fp_physical=count,
-            instruction_window=256,
-            rob_size=256,
-        )
-        points += suite_points(settings, ("int", "fp"), factory,
-                               f"1-cycle/{count}regs", config)
-    return points
+ARCHITECTURES = tuple(
+    Architecture(
+        f"1-cycle/{count}regs",
+        one_cycle_factory(),
+        overrides={"num_int_physical": count, "num_fp_physical": count,
+                   "instruction_window": 256, "rob_size": 256},
+        detail=count,
+    )
+    for count in REGISTER_COUNTS
+)
 
 
-def run(
-    settings: Optional[ExperimentSettings] = None,
-    register_counts: Sequence[int] = REGISTER_COUNTS,
-    cache: Optional[SimulationCache] = None,
-) -> ExperimentResult:
+def render(settings: ExperimentSettings, results: ResultsView) -> ExperimentResult:
     """Reproduce Figure 1."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
-    factory = one_cycle_factory()
-
     labels = settings.active_suite_labels()
     series: dict[str, list[float]] = {label: [] for _suite, label in labels}
     per_benchmark: dict[int, dict[str, float]] = {}
-    for count in register_counts:
-        config = settings.processor_config(
-            num_int_physical=count,
-            num_fp_physical=count,
-            instruction_window=256,
-            rob_size=256,
-        )
+    for architecture in ARCHITECTURES:
         merged: dict[str, float] = {}
         for suite, label in labels:
-            ipcs = cache.suite_ipcs(suite, factory, f"1-cycle/{count}regs", config)
+            ipcs = results.ipcs(suite, architecture)
             merged.update(ipcs)
-            series[label].append(suite_harmonic_mean(ipcs))
-        per_benchmark[count] = merged
+            series[label].append(harmonic_mean(ipcs.values()))
+        per_benchmark[architecture.detail] = merged
 
     body = format_figure(
-        list(register_counts),
+        list(REGISTER_COUNTS),
         series,
         title="Harmonic-mean IPC vs number of physical registers "
               "(1-cycle register file, 256-entry window/ROB)",
@@ -82,6 +57,6 @@ def run(
         name="Figure 1",
         title="IPC for a varying number of physical registers",
         body=body,
-        data={"register_counts": list(register_counts), "series": series,
+        data={"register_counts": list(REGISTER_COUNTS), "series": series,
               "per_benchmark": per_benchmark},
     )

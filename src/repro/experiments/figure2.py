@@ -9,50 +9,36 @@ for the integer codes) when only one bypass level is available.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.tables import format_series
 from repro.experiments.common import (
+    Architecture,
     ExperimentResult,
     ExperimentSettings,
-    SimulationCache,
+    ResultsView,
     one_cycle_factory,
-    suite_points,
     two_cycle_full_bypass_factory,
     two_cycle_one_bypass_factory,
     with_hmean,
 )
 
 ARCHITECTURES = (
-    ("1-cycle, 1-bypass level", one_cycle_factory, "1-cycle"),
-    ("2-cycle, 2-bypass levels", two_cycle_full_bypass_factory, "2-cycle-full"),
-    ("2-cycle, 1-bypass level", two_cycle_one_bypass_factory, "2-cycle-1byp"),
+    Architecture("1-cycle", one_cycle_factory(), label="1-cycle, 1-bypass level"),
+    Architecture("2-cycle-full", two_cycle_full_bypass_factory(),
+                 label="2-cycle, 2-bypass levels"),
+    Architecture("2-cycle-1byp", two_cycle_one_bypass_factory(),
+                 label="2-cycle, 1-bypass level"),
 )
 
 
-def plan(settings: ExperimentSettings) -> list:
-    """Simulation points Figure 2 needs (for the parallel scheduler)."""
-    points: list = []
-    for _name, factory_builder, key in ARCHITECTURES:
-        points += suite_points(settings, ("int", "fp"), factory_builder(), key)
-    return points
-
-
-def run(
-    settings: Optional[ExperimentSettings] = None,
-    cache: Optional[SimulationCache] = None,
-) -> ExperimentResult:
+def render(settings: ExperimentSettings, results: ResultsView) -> ExperimentResult:
     """Reproduce Figure 2."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
-
     data: dict[str, dict[str, dict[str, float]]] = {}
     sections = []
     for suite, label in settings.active_suite_labels():
-        series = {}
-        for name, factory_builder, key in ARCHITECTURES:
-            ipcs = cache.suite_ipcs(suite, factory_builder(), key)
-            series[name] = with_hmean(ipcs)
+        series = {
+            architecture.label: with_hmean(results.ipcs(suite, architecture))
+            for architecture in ARCHITECTURES
+        }
         data[label] = series
         sections.append(format_series(series, title=f"{label} IPC"))
 

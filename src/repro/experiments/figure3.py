@@ -11,49 +11,34 @@ small upper-level bank viable.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.distributions import average_cdfs, percentile_from_cdf
 from repro.analysis.tables import format_figure
 from repro.experiments.common import (
+    Architecture,
     ExperimentResult,
     ExperimentSettings,
-    SimulationCache,
+    ResultsView,
     one_cycle_factory,
-    suite_points,
 )
 
 MAX_REGISTERS = 32
 
+OCCUPANCY = Architecture("1-cycle/occupancy", one_cycle_factory(),
+                         overrides={"collect_occupancy": True})
 
-def plan(settings: ExperimentSettings) -> list:
-    """Simulation points Figure 3 needs (for the parallel scheduler)."""
-    config = settings.processor_config(collect_occupancy=True)
-    return suite_points(settings, ("int", "fp"), one_cycle_factory(),
-                        "1-cycle/occupancy", config)
+ARCHITECTURES = (OCCUPANCY,)
 
 
-def run(
-    settings: Optional[ExperimentSettings] = None,
-    cache: Optional[SimulationCache] = None,
-) -> ExperimentResult:
+def render(settings: ExperimentSettings, results: ResultsView) -> ExperimentResult:
     """Reproduce Figure 3."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
-    factory = one_cycle_factory()
-
     sections = []
     data: dict[str, dict[str, list[float]]] = {}
     for suite, label in settings.active_suite_labels():
-        config = settings.processor_config(collect_occupancy=True)
-        needed_cdfs = []
-        ready_cdfs = []
-        for benchmark in settings.suite(suite):
-            stats = cache.run(benchmark, factory, "1-cycle/occupancy", config)
-            needed_cdfs.append(stats.occupancy_cdf("needed", MAX_REGISTERS))
-            ready_cdfs.append(stats.occupancy_cdf("ready", MAX_REGISTERS))
-        needed = average_cdfs(needed_cdfs)
-        ready = average_cdfs(ready_cdfs)
+        runs = results.stats(suite, OCCUPANCY).values()
+        needed = average_cdfs([stats.occupancy_cdf("needed", MAX_REGISTERS)
+                               for stats in runs])
+        ready = average_cdfs([stats.occupancy_cdf("ready", MAX_REGISTERS)
+                              for stats in runs])
         data[label] = {"value_and_instruction": needed, "value_and_ready": ready}
         sections.append(
             format_figure(

@@ -8,15 +8,13 @@ of ready caching and prefetch-first-pair helping a few programs.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.tables import format_series
 from repro.experiments.common import (
+    Architecture,
     ExperimentResult,
     ExperimentSettings,
-    SimulationCache,
+    ResultsView,
     register_file_cache_factory,
-    suite_points,
     with_hmean,
 )
 
@@ -27,33 +25,23 @@ POLICY_COMBINATIONS = (
     ("non-bypass caching + prefetch-first-pair", "non-bypass", "prefetch-first-pair"),
 )
 
-
-def plan(settings: ExperimentSettings) -> list:
-    """Simulation points Figure 5 needs (for the parallel scheduler)."""
-    points: list = []
-    for _name, caching, fetch in POLICY_COMBINATIONS:
-        factory = register_file_cache_factory(caching=caching, fetch=fetch)
-        points += suite_points(settings, ("int", "fp"), factory,
-                               f"rfc/{caching}/{fetch}")
-    return points
+ARCHITECTURES = tuple(
+    Architecture(f"rfc/{caching}/{fetch}",
+                 register_file_cache_factory(caching=caching, fetch=fetch),
+                 label=name)
+    for name, caching, fetch in POLICY_COMBINATIONS
+)
 
 
-def run(
-    settings: Optional[ExperimentSettings] = None,
-    cache: Optional[SimulationCache] = None,
-) -> ExperimentResult:
+def render(settings: ExperimentSettings, results: ResultsView) -> ExperimentResult:
     """Reproduce Figure 5."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
-
     data: dict[str, dict[str, dict[str, float]]] = {}
     sections = []
     for suite, label in settings.active_suite_labels():
-        series = {}
-        for name, caching, fetch in POLICY_COMBINATIONS:
-            factory = register_file_cache_factory(caching=caching, fetch=fetch)
-            key = f"rfc/{caching}/{fetch}"
-            series[name] = with_hmean(cache.suite_ipcs(suite, factory, key))
+        series = {
+            architecture.label: with_hmean(results.ipcs(suite, architecture))
+            for architecture in ARCHITECTURES
+        }
         data[label] = series
         sections.append(format_series(series, title=f"{label} IPC (register file cache)"))
 

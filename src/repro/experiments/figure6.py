@@ -10,55 +10,36 @@ design (more so for the integer codes) and below the ideal 1-cycle one.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.metrics import percent_change
 from repro.analysis.tables import format_series
 from repro.experiments.common import (
+    Architecture,
     ExperimentResult,
     ExperimentSettings,
-    SimulationCache,
+    ResultsView,
     one_cycle_factory,
     register_file_cache_factory,
-    suite_points,
     two_cycle_one_bypass_factory,
     with_hmean,
 )
 
-
-def _architectures() -> tuple:
-    return (
-        ("1-cycle", one_cycle_factory(), "1-cycle"),
-        ("non-bypass caching + prefetch-first-pair",
-         register_file_cache_factory(), "rfc/non-bypass/prefetch-first-pair"),
-        ("2-cycle", two_cycle_one_bypass_factory(), "2-cycle-1byp"),
-    )
+ARCHITECTURES = (
+    Architecture("1-cycle", one_cycle_factory(), label="1-cycle"),
+    Architecture("rfc/non-bypass/prefetch-first-pair", register_file_cache_factory(),
+                 label="non-bypass caching + prefetch-first-pair"),
+    Architecture("2-cycle-1byp", two_cycle_one_bypass_factory(), label="2-cycle"),
+)
 
 
-def plan(settings: ExperimentSettings) -> list:
-    """Simulation points Figure 6 needs (for the parallel scheduler)."""
-    points: list = []
-    for _name, factory, key in _architectures():
-        points += suite_points(settings, ("int", "fp"), factory, key)
-    return points
-
-
-def run(
-    settings: Optional[ExperimentSettings] = None,
-    cache: Optional[SimulationCache] = None,
-) -> ExperimentResult:
+def render(settings: ExperimentSettings, results: ResultsView) -> ExperimentResult:
     """Reproduce Figure 6."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
-
-    architectures = _architectures()
-
     data: dict[str, dict] = {}
     sections = []
     for suite, label in settings.active_suite_labels():
-        series = {}
-        for name, factory, key in architectures:
-            series[name] = with_hmean(cache.suite_ipcs(suite, factory, key))
+        series = {
+            architecture.label: with_hmean(results.ipcs(suite, architecture))
+            for architecture in ARCHITECTURES
+        }
         data[label] = series
         rfc = series["non-bypass caching + prefetch-first-pair"]["Hmean"]
         one = series["1-cycle"]["Hmean"]

@@ -7,53 +7,35 @@ paper reports the cache within 8% (SpecInt95) / 2% (SpecFP95) of it.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.metrics import percent_change
 from repro.analysis.tables import format_series
 from repro.experiments.common import (
+    Architecture,
     ExperimentResult,
     ExperimentSettings,
-    SimulationCache,
+    ResultsView,
     register_file_cache_factory,
-    suite_points,
     two_cycle_full_bypass_factory,
     with_hmean,
 )
 
-
-def _architectures() -> tuple:
-    return (
-        ("non-bypass caching + prefetch-first-pair",
-         register_file_cache_factory(), "rfc/non-bypass/prefetch-first-pair"),
-        ("2-cycle (full bypass)", two_cycle_full_bypass_factory(), "2-cycle-full"),
-    )
-
-
-def plan(settings: ExperimentSettings) -> list:
-    """Simulation points Figure 7 needs (for the parallel scheduler)."""
-    points: list = []
-    for _name, factory, key in _architectures():
-        points += suite_points(settings, ("int", "fp"), factory, key)
-    return points
+ARCHITECTURES = (
+    Architecture("rfc/non-bypass/prefetch-first-pair", register_file_cache_factory(),
+                 label="non-bypass caching + prefetch-first-pair"),
+    Architecture("2-cycle-full", two_cycle_full_bypass_factory(),
+                 label="2-cycle (full bypass)"),
+)
 
 
-def run(
-    settings: Optional[ExperimentSettings] = None,
-    cache: Optional[SimulationCache] = None,
-) -> ExperimentResult:
+def render(settings: ExperimentSettings, results: ResultsView) -> ExperimentResult:
     """Reproduce Figure 7."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
-
-    architectures = _architectures()
-
     data: dict[str, dict] = {}
     sections = []
     for suite, label in settings.active_suite_labels():
-        series = {}
-        for name, factory, key in architectures:
-            series[name] = with_hmean(cache.suite_ipcs(suite, factory, key))
+        series = {
+            architecture.label: with_hmean(results.ipcs(suite, architecture))
+            for architecture in ARCHITECTURES
+        }
         data[label] = series
         rfc = series["non-bypass caching + prefetch-first-pair"]["Hmean"]
         full = series["2-cycle (full bypass)"]["Hmean"]

@@ -9,17 +9,16 @@ with unlimited ports, as in the paper.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.analysis.tables import format_table
 from repro.experiments.common import (
+    Architecture,
     ExperimentResult,
     ExperimentSettings,
-    SimulationCache,
+    ResultsView,
     one_cycle_factory,
     register_file_cache_factory,
-    suite_harmonic_mean,
-    suite_points,
     two_cycle_one_bypass_factory,
 )
 from repro.hwmodel.area import RegisterFileGeometry
@@ -33,122 +32,82 @@ CACHE_READ_PORTS: Sequence[int] = (2, 3, 4)
 CACHE_WRITE_PORTS: Sequence[int] = (2, 3)
 CACHE_BUSES: Sequence[int] = (1, 2)
 
+#: The three architectures whose Pareto frontiers the figure reports.
+FAMILIES = ("1-cycle", "register file cache", "2-cycle, 1-bypass")
 
-def _single_banked_arch(latency: int, reads: int, writes: int) -> tuple:
-    """(factory, key) of one swept single-banked configuration."""
+#: IPC is reported relative to this 1-cycle file with unlimited ports.
+BASELINE = Architecture("1-cycle", one_cycle_factory())
+
+
+def _single_banked(latency: int, reads: int, writes: int) -> Architecture:
+    """One swept single-banked configuration; detail is (ports, area)."""
+    detail = (f"{reads}R/{writes}W",
+              RegisterFileGeometry(128, reads, writes).area_units())
     if latency == 1:
-        return (one_cycle_factory(read_ports=reads, write_ports=writes),
-                f"1-cycle/{reads}R{writes}W")
-    return (two_cycle_one_bypass_factory(read_ports=reads, write_ports=writes),
-            f"2-cycle-1byp/{reads}R{writes}W")
+        return Architecture(f"1-cycle/{reads}R{writes}W",
+                            one_cycle_factory(read_ports=reads, write_ports=writes),
+                            label="1-cycle", detail=detail)
+    return Architecture(f"2-cycle-1byp/{reads}R{writes}W",
+                        two_cycle_one_bypass_factory(read_ports=reads, write_ports=writes),
+                        label="2-cycle, 1-bypass", detail=detail)
 
 
-def _rfc_arch(reads: int, writes: int, buses: int) -> tuple:
-    """(factory, key) of one swept register-file-cache configuration."""
-    return (
+def _register_file_cache(reads: int, writes: int, buses: int) -> Architecture:
+    """One swept register-file-cache configuration; detail is (ports, area)."""
+    geometry = RegisterFileCacheGeometry(
+        upper_read_ports=reads,
+        upper_write_ports=writes,
+        lower_write_ports=writes,
+        buses=buses,
+    )
+    return Architecture(
+        f"rfc/{reads}R{writes}W{buses}B",
         register_file_cache_factory(
             upper_read_ports=reads,
             upper_write_ports=writes,
             lower_write_ports=writes,
             buses=buses,
         ),
-        f"rfc/{reads}R{writes}W{buses}B",
+        label="register file cache",
+        detail=(f"{reads}R/{writes}W/{buses}B", geometry.area_units()),
     )
 
 
-def _swept_architectures() -> List[tuple]:
-    """Every (factory, key) pair the sweep evaluates, baseline included."""
-    pairs: List[tuple] = [(one_cycle_factory(), "1-cycle")]
-    for reads in SINGLE_READ_PORTS:
-        for writes in SINGLE_WRITE_PORTS:
-            pairs.append(_single_banked_arch(1, reads, writes))
-            pairs.append(_single_banked_arch(2, reads, writes))
-    for reads in CACHE_READ_PORTS:
-        for writes in CACHE_WRITE_PORTS:
-            for buses in CACHE_BUSES:
-                pairs.append(_rfc_arch(reads, writes, buses))
-    return pairs
+SWEPT: tuple = (
+    *(
+        _single_banked(latency, reads, writes)
+        for reads in SINGLE_READ_PORTS
+        for writes in SINGLE_WRITE_PORTS
+        for latency in (1, 2)
+    ),
+    *(
+        _register_file_cache(reads, writes, buses)
+        for reads in CACHE_READ_PORTS
+        for writes in CACHE_WRITE_PORTS
+        for buses in CACHE_BUSES
+    ),
+)
+
+ARCHITECTURES = (BASELINE, *SWEPT)
 
 
-def plan(settings: ExperimentSettings) -> List:
-    """Simulation points Figure 8 needs (for the parallel scheduler)."""
-    points: List = []
-    for factory, key in _swept_architectures():
-        points += suite_points(settings, ("int", "fp"), factory, key)
-    return points
-
-
-def _single_banked_points(
-    cache: SimulationCache,
-    suite: str,
-    latency: int,
-    baseline_ipc: float,
-) -> List[DesignPoint]:
-    points: List[DesignPoint] = []
-    for reads in SINGLE_READ_PORTS:
-        for writes in SINGLE_WRITE_PORTS:
-            factory, key = _single_banked_arch(latency, reads, writes)
-            ipcs = cache.suite_ipcs(suite, factory, key)
-            geometry = RegisterFileGeometry(128, reads, writes)
-            points.append(
-                DesignPoint(
-                    cost=geometry.area_units(),
-                    value=suite_harmonic_mean(ipcs) / baseline_ipc,
-                    label=f"{reads}R/{writes}W",
-                )
-            )
-    return points
-
-
-def _register_file_cache_points(
-    cache: SimulationCache,
-    suite: str,
-    baseline_ipc: float,
-) -> List[DesignPoint]:
-    points: List[DesignPoint] = []
-    for reads in CACHE_READ_PORTS:
-        for writes in CACHE_WRITE_PORTS:
-            for buses in CACHE_BUSES:
-                factory, key = _rfc_arch(reads, writes, buses)
-                ipcs = cache.suite_ipcs(suite, factory, key)
-                geometry = RegisterFileCacheGeometry(
-                    upper_read_ports=reads,
-                    upper_write_ports=writes,
-                    lower_write_ports=writes,
-                    buses=buses,
-                )
-                points.append(
-                    DesignPoint(
-                        cost=geometry.area_units(),
-                        value=suite_harmonic_mean(ipcs) / baseline_ipc,
-                        label=f"{reads}R/{writes}W/{buses}B",
-                    )
-                )
-    return points
-
-
-def run(
-    settings: Optional[ExperimentSettings] = None,
-    cache: Optional[SimulationCache] = None,
-) -> ExperimentResult:
+def render(settings: ExperimentSettings, results: ResultsView) -> ExperimentResult:
     """Reproduce Figure 8 (Pareto frontier of performance vs area)."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
-
     sections = []
     data: Dict[str, Dict[str, List[dict]]] = {}
     for suite, label in settings.active_suite_labels():
-        baseline = suite_harmonic_mean(
-            cache.suite_ipcs(suite, one_cycle_factory(), "1-cycle")
-        )
-        architectures = {
-            "1-cycle": _single_banked_points(cache, suite, 1, baseline),
-            "register file cache": _register_file_cache_points(cache, suite, baseline),
-            "2-cycle, 1-bypass": _single_banked_points(cache, suite, 2, baseline),
-        }
+        baseline = results.hmean(suite, BASELINE)
+        families: Dict[str, List[DesignPoint]] = {family: [] for family in FAMILIES}
+        for architecture in SWEPT:
+            ports, area = architecture.detail
+            families[architecture.label].append(
+                DesignPoint(cost=area,
+                            value=results.hmean(suite, architecture) / baseline,
+                            label=ports)
+            )
         data[label] = {}
         rows = []
-        for arch_name, points in architectures.items():
+        for arch_name, points in families.items():
             frontier = pareto_frontier(points)
             data[label][arch_name] = [
                 {"area_10Klambda2": p.cost, "relative_performance": p.value, "ports": p.label}

@@ -11,18 +11,17 @@ big: its cycle time is set by the small upper bank.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.analysis.metrics import instruction_throughput
 from repro.analysis.tables import format_series, format_table
 from repro.experiments.common import (
+    Architecture,
     ExperimentResult,
     ExperimentSettings,
-    SimulationCache,
+    ResultsView,
     one_cycle_factory,
     register_file_cache_factory,
-    suite_harmonic_mean,
-    suite_points,
     two_cycle_one_bypass_factory,
 )
 from repro.hwmodel.configurations import (
@@ -30,6 +29,9 @@ from repro.hwmodel.configurations import (
     ArchitectureConfiguration,
     PAPER_TABLE2,
 )
+
+#: The architectures Figure 9 compares, in the order of its series.
+SERIES = ("1-cycle", "non-bypass caching + prefetch-first-pair", "2-cycle, 1-bypass")
 
 
 def _table2_rows() -> list[tuple]:
@@ -62,75 +64,49 @@ def _table2_rows() -> list[tuple]:
 def _configuration_architectures(
     configuration: ArchitectureConfiguration,
 ) -> tuple:
-    """(factory, key) of the three architectures at one Table 2 config."""
+    """The three architectures at one Table 2 configuration.
+
+    Each one's detail is (configuration name, cycle time in ns): the
+    2-cycle file is assumed to pipeline into two equal stages, and the
+    register file cache's cycle is set by its upper bank.
+    """
     reads = configuration.single_read_ports
     writes = configuration.single_write_ports
     cache_geometry = configuration.cache_geometry
-    return (
-        (one_cycle_factory(read_ports=reads, write_ports=writes),
-         f"1-cycle/{reads}R{writes}W"),
-        (two_cycle_one_bypass_factory(read_ports=reads, write_ports=writes),
-         f"2-cycle-1byp/{reads}R{writes}W"),
-        (register_file_cache_factory(
-            upper_read_ports=cache_geometry.upper_read_ports,
-            upper_write_ports=cache_geometry.upper_write_ports,
-            lower_write_ports=cache_geometry.lower_write_ports,
-            buses=cache_geometry.buses,
-            lower_read_latency=cache_geometry.lower_read_latency_cycles(),
-        ),
-         (
-             f"rfc/{cache_geometry.upper_read_ports}R"
-             f"{cache_geometry.upper_write_ports}W{cache_geometry.buses}B"
-         )),
-    )
-
-
-def plan(settings) -> list:
-    """Simulation points Figure 9 / Table 2 need (parallel scheduler)."""
-    points: list = []
-    for configuration in TABLE2_CONFIGURATIONS:
-        for factory, key in _configuration_architectures(configuration):
-            points += suite_points(settings, ("int", "fp"), factory, key)
-    return points
-
-
-def _suite_throughputs(
-    cache: SimulationCache,
-    suite: str,
-    configuration: ArchitectureConfiguration,
-) -> Dict[str, float]:
-    """Instruction throughput (inst/ns) of each architecture at one config."""
-    cache_geometry = configuration.cache_geometry
-    architectures = _configuration_architectures(configuration)
-
-    one_cycle_ipc = suite_harmonic_mean(
-        cache.suite_ipcs(suite, architectures[0][0], architectures[0][1])
-    )
-    two_cycle_ipc = suite_harmonic_mean(
-        cache.suite_ipcs(suite, architectures[1][0], architectures[1][1])
-    )
-    cache_ipc = suite_harmonic_mean(
-        cache.suite_ipcs(suite, architectures[2][0], architectures[2][1])
-    )
-
     access_time = configuration.single_banked_access_time_ns()
-    return {
-        "1-cycle": instruction_throughput(one_cycle_ipc, access_time),
-        "non-bypass caching + prefetch-first-pair": instruction_throughput(
-            cache_ipc, cache_geometry.cycle_time_ns()
+    return (
+        Architecture(f"1-cycle/{reads}R{writes}W",
+                     one_cycle_factory(read_ports=reads, write_ports=writes),
+                     label="1-cycle", detail=(configuration.name, access_time)),
+        Architecture(f"2-cycle-1byp/{reads}R{writes}W",
+                     two_cycle_one_bypass_factory(read_ports=reads, write_ports=writes),
+                     label="2-cycle, 1-bypass",
+                     detail=(configuration.name, access_time / 2.0)),
+        Architecture(
+            f"rfc/{cache_geometry.upper_read_ports}R"
+            f"{cache_geometry.upper_write_ports}W{cache_geometry.buses}B",
+            register_file_cache_factory(
+                upper_read_ports=cache_geometry.upper_read_ports,
+                upper_write_ports=cache_geometry.upper_write_ports,
+                lower_write_ports=cache_geometry.lower_write_ports,
+                buses=cache_geometry.buses,
+                lower_read_latency=cache_geometry.lower_read_latency_cycles(),
+            ),
+            label="non-bypass caching + prefetch-first-pair",
+            detail=(configuration.name, cache_geometry.cycle_time_ns()),
         ),
-        "2-cycle, 1-bypass": instruction_throughput(two_cycle_ipc, access_time / 2.0),
-    }
+    )
 
 
-def run(
-    settings: Optional[ExperimentSettings] = None,
-    cache: Optional[SimulationCache] = None,
-) -> ExperimentResult:
+ARCHITECTURES = tuple(
+    architecture
+    for configuration in TABLE2_CONFIGURATIONS
+    for architecture in _configuration_architectures(configuration)
+)
+
+
+def render(settings: ExperimentSettings, results: ResultsView) -> ExperimentResult:
     """Reproduce Table 2 and Figure 9."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
-
     table2 = format_table(
         (
             "conf", "single ports", "single area", "(paper)", "1-cyc time (ns)",
@@ -145,14 +121,19 @@ def run(
     sections = [table2]
     data: dict = {"table2": _table2_rows()}
     for suite, label in settings.active_suite_labels():
-        series: Dict[str, Dict[str, float]] = {}
-        baseline: Optional[float] = None
-        for configuration in TABLE2_CONFIGURATIONS:
-            throughputs = _suite_throughputs(cache, suite, configuration)
-            if baseline is None:
-                baseline = throughputs["1-cycle"]
-            for arch_name, value in throughputs.items():
-                series.setdefault(arch_name, {})[configuration.name] = value / baseline
+        # Instruction throughput (inst/ns) of each architecture per config.
+        throughputs: Dict[str, Dict[str, float]] = {name: {} for name in SERIES}
+        for architecture in ARCHITECTURES:
+            configuration, cycle_time = architecture.detail
+            throughputs[architecture.label][configuration] = instruction_throughput(
+                results.hmean(suite, architecture), cycle_time
+            )
+        baseline = throughputs["1-cycle"][TABLE2_CONFIGURATIONS[0].name]
+        series = {
+            name: {configuration: value / baseline
+                   for configuration, value in values.items()}
+            for name, values in throughputs.items()
+        }
         data[label] = series
         best = {arch: max(values.values()) for arch, values in series.items()}
         rfc = best["non-bypass caching + prefetch-first-pair"]

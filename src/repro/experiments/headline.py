@@ -12,15 +12,9 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.tables import format_table
 from repro.experiments import figure6, figure9_table2
-from repro.experiments.common import (
-    ExperimentResult,
-    ExperimentSettings,
-    SimulationCache,
-)
+from repro.experiments.common import ExperimentResult, ExperimentSettings, ResultsView
 
 #: The numbers the paper reports, for side-by-side comparison.
 PAPER_CLAIMS = {
@@ -35,21 +29,13 @@ PAPER_CLAIMS = {
 }
 
 
-def plan(settings: ExperimentSettings) -> list:
-    """Simulation points the headline experiment needs (Figures 6 and 9)."""
-    return figure6.plan(settings) + figure9_table2.plan(settings)
+ARCHITECTURES = figure6.ARCHITECTURES + figure9_table2.ARCHITECTURES
 
 
-def run(
-    settings: Optional[ExperimentSettings] = None,
-    cache: Optional[SimulationCache] = None,
-) -> ExperimentResult:
+def render(settings: ExperimentSettings, results: ResultsView) -> ExperimentResult:
     """Compute the headline claims on the simulated workloads."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
-
-    ipc_result = figure6.run(settings, cache)
-    throughput_result = figure9_table2.run(settings, cache)
+    ipc_result = figure6.render(settings, results)
+    throughput_result = figure9_table2.render(settings, results)
 
     measured: dict[tuple[str, str], float] = {}
     for _suite, label in settings.active_suite_labels():

@@ -26,7 +26,7 @@ import csv
 import io
 import json
 import sys
-import time
+from types import ModuleType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.experiments import (
@@ -43,40 +43,27 @@ from repro.experiments import (
     value_reuse,
 )
 from repro.errors import ReproError
-from repro.experiments.common import ExperimentResult, ExperimentSettings, SimulationCache
+from repro.experiments.common import ExperimentResult, ExperimentSettings, ResultsView
 from repro.experiments.scheduler import SimulationPoint, SweepEngine
 from repro.experiments.store import ResultStore
 from repro.sampling.spec import parse_sampling
 from repro.version import __version__
 
-#: All experiments in the order they appear in the paper.
-EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
-    "figure1": figure1.run,
-    "figure2": figure2.run,
-    "figure3": figure3.run,
-    "value_reuse": value_reuse.run,
-    "figure5": figure5.run,
-    "figure6": figure6.run,
-    "figure7": figure7.run,
-    "figure8": figure8.run,
-    "figure9": figure9_table2.run,
-    "headline": headline.run,
-    "ablations": ablations.run,
-}
-
-#: The ``plan`` function of each experiment: what runs it will need.
-PLANNERS: Dict[str, Callable[[ExperimentSettings], List[SimulationPoint]]] = {
-    "figure1": figure1.plan,
-    "figure2": figure2.plan,
-    "figure3": figure3.plan,
-    "value_reuse": value_reuse.plan,
-    "figure5": figure5.plan,
-    "figure6": figure6.plan,
-    "figure7": figure7.plan,
-    "figure8": figure8.plan,
-    "figure9": figure9_table2.plan,
-    "headline": headline.plan,
-    "ablations": ablations.plan,
+#: All experiments in the order they appear in the paper.  Each module
+#: declares its ``ARCHITECTURES`` once and renders its report with
+#: ``render(settings, results)`` from a :class:`ResultsView`.
+EXPERIMENTS: Dict[str, ModuleType] = {
+    "figure1": figure1,
+    "figure2": figure2,
+    "figure3": figure3,
+    "value_reuse": value_reuse,
+    "figure5": figure5,
+    "figure6": figure6,
+    "figure7": figure7,
+    "figure8": figure8,
+    "figure9": figure9_table2,
+    "headline": headline,
+    "ablations": ablations,
 }
 
 REPORT_FORMATS = ("text", "json", "csv")
@@ -121,11 +108,31 @@ def plan_experiments(
     names: Sequence[str],
     settings: ExperimentSettings,
 ) -> List[SimulationPoint]:
-    """Every simulation point the named experiments declare."""
+    """Every simulation point the named experiments declare.
+
+    Each declared architecture runs every benchmark of the active
+    suites; the scheduler deduplicates points shared across experiments.
+    """
+    benchmarks = settings.suite_selection("all")
     points: List[SimulationPoint] = []
     for name in names:
-        points.extend(PLANNERS[name](settings))
+        for architecture in EXPERIMENTS[name].ARCHITECTURES:
+            points += architecture.points(settings, benchmarks)
     return points
+
+
+def render_experiments(
+    names: Sequence[str],
+    settings: ExperimentSettings,
+    store: ResultStore,
+) -> list[ExperimentResult]:
+    """Render the named experiments from the results ``store`` holds.
+
+    Nothing is simulated here: a declared point missing from ``store``
+    raises :class:`~repro.errors.MissingResultError`.
+    """
+    results = ResultsView(settings, store)
+    return [EXPERIMENTS[name].render(settings, results) for name in names]
 
 
 def run_experiments(
@@ -136,29 +143,19 @@ def run_experiments(
     progress: Optional[Callable[[str], None]] = None,
     engine: Optional[SweepEngine] = None,
 ) -> list[ExperimentResult]:
-    """Run the named experiments, sharing one simulation cache.
+    """Simulate the named experiments' points, then render their reports.
 
-    The experiments' declared simulation points are deduplicated and
-    executed up front through a :class:`SweepEngine` (across ``jobs``
-    worker processes when ``jobs`` > 1); the experiment functions then
-    assemble their reports from cache hits.  Any point a ``plan``
-    under-declares is simply simulated in-process when the experiment
-    asks for it.  Long-lived callers (the sweep service) pass their own
-    ``engine`` so warm workers and trace caches persist across calls;
-    ``store``/``jobs`` are ignored in that case.
+    The declared points are deduplicated and executed through a
+    :class:`SweepEngine` (across ``jobs`` worker processes when ``jobs``
+    > 1); each experiment then renders from the engine's result store.
+    Long-lived callers (the sweep service) pass their own ``engine`` so
+    warm workers and trace caches persist across calls; ``store``/``jobs``
+    are ignored in that case.
     """
     if engine is None:
         engine = SweepEngine(store=store, jobs=jobs)
-    store = engine.store
-    cache = SimulationCache(settings, store=store)
     engine.execute(plan_experiments(names, settings), progress=progress)
-    results = []
-    for name in names:
-        started = time.time()
-        result = EXPERIMENTS[name](settings, cache=cache)
-        result.data["elapsed_seconds"] = round(time.time() - started, 1)
-        results.append(result)
-    return results
+    return render_experiments(names, settings, engine.store)
 
 
 # ----------------------------------------------------------------------

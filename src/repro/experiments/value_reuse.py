@@ -9,38 +9,27 @@ distribution on the simulated workloads.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional
-
 from repro.analysis.tables import format_table
 from repro.experiments.common import (
+    Architecture,
     ExperimentResult,
     ExperimentSettings,
-    SimulationCache,
+    ResultsView,
     one_cycle_factory,
-    suite_points,
 )
 
+ONE_CYCLE = Architecture("1-cycle", one_cycle_factory())
 
-def plan(settings: ExperimentSettings) -> list:
-    """Simulation points the value-reuse statistic needs."""
-    return suite_points(settings, ("int", "fp"), one_cycle_factory(), "1-cycle")
+ARCHITECTURES = (ONE_CYCLE,)
 
 
-def run(
-    settings: Optional[ExperimentSettings] = None,
-    cache: Optional[SimulationCache] = None,
-) -> ExperimentResult:
+def render(settings: ExperimentSettings, results: ResultsView) -> ExperimentResult:
     """Measure the value read-count distribution per suite."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
-    factory = one_cycle_factory()
-
     rows = []
     data: dict = {}
     for suite, label in settings.active_suite_labels():
         combined: Counter = Counter()
-        for benchmark in settings.suite(suite):
-            stats = cache.run(benchmark, factory, "1-cycle")
+        for stats in results.stats(suite, ONE_CYCLE).values():
             combined.update(stats.value_read_distribution)
         total = sum(combined.values()) or 1
         never = combined.get(0, 0) / total

@@ -48,9 +48,9 @@ from repro.experiments.common import (
 )
 from repro.experiments.runner import (
     EXPERIMENTS,
-    PLANNERS,
     plan_experiments,
     render_csv,
+    render_experiments,
 )
 from repro.experiments.scheduler import SimulationPoint
 from repro.pipeline.config import ProcessorConfig
@@ -322,14 +322,14 @@ def validate_submission(payload) -> JobPlan:
         if not isinstance(figure, str):
             raise ApiError(422, "invalid_spec", "figure must be a string")
         if figure == "all":
-            figures = list(PLANNERS)
-        elif figure in PLANNERS:
+            figures = list(EXPERIMENTS)
+        elif figure in EXPERIMENTS:
             figures = [figure]
         else:
             raise ApiError(
                 422, "unknown_figure",
                 f"unknown figure {figure!r} "
-                f"(known: {', '.join(list(PLANNERS) + ['all'])})",
+                f"(known: {', '.join(list(EXPERIMENTS) + ['all'])})",
             )
         settings = _build_settings(payload)
         if sampling is not None:
@@ -383,22 +383,22 @@ def validate_submission(payload) -> JobPlan:
 # ----------------------------------------------------------------------
 
 
-def assemble_figure_result(plan: JobPlan, cache) -> dict:
+def assemble_figure_result(plan: JobPlan, store) -> dict:
     """Build the report payload of a completed figure job.
 
-    Runs the same experiment functions as ``repro.experiments.runner``
-    over the now-warm cache, so the service's answer for a plan is
+    Renders through the same path as ``repro.experiments.runner`` from
+    the now-warm store, so the service's answer for a plan is
     byte-for-byte the runner's answer for the same plan.
     """
-    results = []
-    for name in plan.figures:
-        result = EXPERIMENTS[name](plan.settings, cache=cache)
-        results.append({
+    results = [
+        {
             "name": result.name,
             "title": result.title,
             "body": result.body,
             "data": result.data,
-        })
+        }
+        for result in render_experiments(plan.figures, plan.settings, store)
+    ]
     return {
         "kind": "figures",
         "settings": dict(plan.spec["settings"]),

@@ -2,27 +2,24 @@
 
 import pytest
 
-from repro.experiments import (
-    figure1,
-    figure2,
-    figure3,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    figure9_table2,
-    headline,
-    value_reuse,
-)
+from repro.analysis.metrics import harmonic_mean
+from repro.errors import MissingResultError
+from repro.experiments import figure1, figure6, value_reuse
 from repro.experiments.common import (
     ExperimentSettings,
-    SimulationCache,
-    architecture_factories,
+    ResultsView,
     register_file_cache_factory,
-    suite_harmonic_mean,
     with_hmean,
 )
-from repro.experiments.runner import EXPERIMENTS, build_parser, run_experiments
+from repro.experiments.runner import (
+    EXPERIMENTS,
+    build_parser,
+    plan_experiments,
+    render_experiments,
+    run_experiments,
+)
+from repro.experiments.scheduler import SweepEngine
+from repro.experiments.store import ResultStore
 from repro.pipeline.stats import SimulationStats
 
 
@@ -30,18 +27,31 @@ from repro.pipeline.stats import SimulationStats
 QUICK = ExperimentSettings(instructions_per_benchmark=800, warmup_instructions=200,
                            benchmarks=["m88ksim", "swim"])
 
+#: The experiments the figure tests render (figure 8 and the ablations
+#: have their own, cheaper settings).
+FIGURES = ["figure1", "figure2", "figure3", "value_reuse", "figure5", "figure6",
+           "figure7", "figure9", "headline"]
+
 
 @pytest.fixture(scope="module")
-def shared_cache() -> SimulationCache:
-    return SimulationCache(QUICK)
+def store() -> ResultStore:
+    """A store holding every point the figure tests render."""
+    store = ResultStore()
+    SweepEngine(store=store, jobs=1).execute(plan_experiments(FIGURES, QUICK))
+    return store
+
+
+@pytest.fixture(scope="module")
+def figures(store) -> dict:
+    return dict(zip(FIGURES, render_experiments(FIGURES, QUICK, store)))
 
 
 class TestCommon:
     def test_settings_suite_filtering(self):
-        assert QUICK.suite("int") == ["m88ksim"]
-        assert QUICK.suite("fp") == ["swim"]
+        assert QUICK.suite_selection("int") == ["m88ksim"]
+        assert QUICK.suite_selection("fp") == ["swim"]
         full = ExperimentSettings()
-        assert len(full.suite("all")) == 18
+        assert len(full.suite_selection("all")) == 18
 
     def test_settings_validation(self):
         with pytest.raises(Exception):
@@ -52,18 +62,32 @@ class TestCommon:
         assert config.max_instructions == 800
         assert config.num_int_physical == 64
 
-    def test_simulation_cache_memoizes(self, shared_cache):
-        factories = architecture_factories()
-        first = shared_cache.run("swim", factories["1-cycle"], "1-cycle")
-        second = shared_cache.run("swim", factories["1-cycle"], "1-cycle")
+    def test_results_view_memoizes(self, store):
+        results = ResultsView(QUICK, store)
+        first = results.stats("fp", value_reuse.ONE_CYCLE)["swim"]
+        second = results.stats("fp", value_reuse.ONE_CYCLE)["swim"]
         assert first is second
         assert isinstance(first, SimulationStats)
 
-    def test_suite_helpers(self, shared_cache):
-        ipcs = shared_cache.suite_ipcs("fp", architecture_factories()["1-cycle"], "1-cycle")
+    def test_suite_helpers(self, store):
+        ipcs = ResultsView(QUICK, store).ipcs("fp", value_reuse.ONE_CYCLE)
         assert set(ipcs) == {"swim"}
         extended = with_hmean(ipcs)
-        assert extended["Hmean"] == pytest.approx(suite_harmonic_mean(ipcs))
+        assert extended["Hmean"] == pytest.approx(harmonic_mean(ipcs.values()))
+
+    def test_render_raises_on_a_missing_point(self, store):
+        """Render never simulates: a declared point absent from the store
+        is an error naming that point, not a silent in-process run."""
+        partial = ResultStore()
+        missing = figure6.ARCHITECTURES[1].points(QUICK, ["swim"])[0]
+        for point in plan_experiments(["figure6"], QUICK):
+            if point.store_key() != missing.store_key():
+                partial.put(point.store_key(), store.peek(point.store_key()))
+        with pytest.raises(MissingResultError,
+                           match="'swim' on architecture "
+                                 "'rfc/non-bypass/prefetch-first-pair'"):
+            render_experiments(["figure6"], QUICK, partial)
+        assert partial.counters()["stores"] == len(plan_experiments(["figure6"], QUICK)) - 1
 
     def test_register_file_cache_factory_policies(self):
         cache = register_file_cache_factory(caching="ready", fetch="fetch-on-demand")()
@@ -72,16 +96,18 @@ class TestCommon:
 
 
 class TestFigureExperiments:
-    def test_figure1_shape(self, shared_cache):
-        result = figure1.run(QUICK, register_counts=(48, 128), cache=shared_cache)
-        assert result.data["register_counts"] == [48, 128]
+    def test_figure1_shape(self, figures):
+        result = figures["figure1"]
+        counts = list(figure1.REGISTER_COUNTS)
+        assert result.data["register_counts"] == counts
         series = result.data["series"]
-        assert len(series["SpecInt95"]) == 2
-        assert series["SpecFP95"][1] >= series["SpecFP95"][0] * 0.95
+        assert len(series["SpecInt95"]) == len(counts)
+        fp = series["SpecFP95"]
+        assert fp[counts.index(128)] >= fp[counts.index(48)] * 0.95
         assert "Figure 1" in result.render()
 
-    def test_figure2_ordering(self, shared_cache):
-        result = figure2.run(QUICK, cache=shared_cache)
+    def test_figure2_ordering(self, figures):
+        result = figures["figure2"]
         for suite in ("SpecInt95", "SpecFP95"):
             series = result.data[suite]
             one = series["1-cycle, 1-bypass level"]["Hmean"]
@@ -89,8 +115,8 @@ class TestFigureExperiments:
             single = series["2-cycle, 1-bypass level"]["Hmean"]
             assert one >= full >= single
 
-    def test_figure3_cdf_properties(self, shared_cache):
-        result = figure3.run(QUICK, cache=shared_cache)
+    def test_figure3_cdf_properties(self, figures):
+        result = figures["figure3"]
         for suite in ("SpecInt95", "SpecFP95"):
             cdf = result.data[suite]["value_and_instruction"]
             ready = result.data[suite]["value_and_ready"]
@@ -99,12 +125,12 @@ class TestFigureExperiments:
             # Ready values are a subset of needed values.
             assert all(r >= n - 1e-9 for r, n in zip(ready, cdf))
 
-    def test_figure5_has_four_policies(self, shared_cache):
-        result = figure5.run(QUICK, cache=shared_cache)
+    def test_figure5_has_four_policies(self, figures):
+        result = figures["figure5"]
         assert len(result.data["SpecInt95"]) == 4
 
-    def test_figure6_rfc_between_baselines(self, shared_cache):
-        result = figure6.run(QUICK, cache=shared_cache)
+    def test_figure6_rfc_between_baselines(self, figures):
+        result = figures["figure6"]
         for suite in ("SpecInt95", "SpecFP95"):
             series = result.data[suite]
             one = series["1-cycle"]["Hmean"]
@@ -112,13 +138,13 @@ class TestFigureExperiments:
             two = series["2-cycle"]["Hmean"]
             assert two <= rfc <= one * 1.05
 
-    def test_figure7_rfc_close_to_full_bypass(self, shared_cache):
-        result = figure7.run(QUICK, cache=shared_cache)
+    def test_figure7_rfc_close_to_full_bypass(self, figures):
+        result = figures["figure7"]
         summary = result.data["SpecFP95_summary"]["vs_two_cycle_full_pct"]
         assert -40.0 < summary < 20.0
 
-    def test_value_reuse_fractions(self, shared_cache):
-        result = value_reuse.run(QUICK, cache=shared_cache)
+    def test_value_reuse_fractions(self, figures):
+        result = figures["value_reuse"]
         for suite in ("SpecInt95", "SpecFP95"):
             fractions = result.data[suite]
             total = (fractions["never_read"] + fractions["read_once"]
@@ -126,8 +152,8 @@ class TestFigureExperiments:
             assert total == pytest.approx(1.0, abs=1e-6)
             assert fractions["read_at_most_once"] > 0.5
 
-    def test_figure9_table2_relative_throughput(self, shared_cache):
-        result = figure9_table2.run(QUICK, cache=shared_cache)
+    def test_figure9_table2_relative_throughput(self, figures):
+        result = figures["figure9"]
         assert len(result.data["table2"]) == 4
         series = result.data["SpecInt95"]
         assert series["1-cycle"]["C1"] == pytest.approx(1.0)
@@ -137,8 +163,8 @@ class TestFigureExperiments:
         one_best = max(series["1-cycle"].values())
         assert rfc_best > one_best
 
-    def test_headline_contains_all_claims(self, shared_cache):
-        result = headline.run(QUICK, cache=shared_cache)
+    def test_headline_contains_all_claims(self, figures):
+        result = figures["headline"]
         assert len(result.data["measured"]) == 8
         assert "paper" in result.body
 
@@ -149,7 +175,7 @@ class TestFigure8:
         settings = ExperimentSettings(instructions_per_benchmark=400,
                                       warmup_instructions=100,
                                       benchmarks=["m88ksim", "swim"])
-        result = figure8.run(settings)
+        (result,) = run_experiments(["figure8"], settings)
         for suite in ("SpecInt95", "SpecFP95"):
             for architecture, points in result.data[suite].items():
                 assert points, f"no pareto points for {architecture}"
@@ -181,4 +207,6 @@ class TestRunner:
     def test_run_experiments_shares_cache(self):
         results = run_experiments(["figure2"], QUICK)
         assert len(results) == 1
-        assert "elapsed_seconds" in results[0].data
+        # The report carries no timing field: serial and parallel runs of
+        # one plan must compare equal byte for byte.
+        assert "elapsed_seconds" not in results[0].data

@@ -7,16 +7,14 @@ import pickle
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import figure6, figure7
 from repro.experiments.common import (
     ExperimentSettings,
-    SimulationCache,
     architecture_factories,
     one_cycle_factory,
     register_file_cache_factory,
 )
 from repro.experiments.runner import main as runner_main
-from repro.experiments.runner import render_csv, run_experiments
+from repro.experiments.runner import plan_experiments, render_csv, run_experiments
 from repro.experiments.scheduler import (
     SimulationPoint,
     SweepEngine,
@@ -82,14 +80,16 @@ class TestResultStore:
         assert store.get("deadbeef") is None
         assert store.counters()["misses"] == 1
 
-    def test_cache_hits_across_simulation_cache_instances(self, tmp_path):
-        first = SimulationCache(TINY, store=ResultStore(cache_dir=str(tmp_path)))
-        before = first.run("swim", one_cycle_factory(), "1-cycle")
-        assert first.store.counters()["stores"] == 1
+    def test_cache_hits_across_store_instances(self, tmp_path):
+        point = _point()
+        first = ResultStore(cache_dir=str(tmp_path))
+        SweepEngine(store=first, jobs=1).execute([point])
+        assert first.counters()["stores"] == 1
+        before = first.get(point.store_key())
 
-        second = SimulationCache(TINY, store=ResultStore(cache_dir=str(tmp_path)))
-        after = second.run("swim", one_cycle_factory(), "1-cycle")
-        assert second.store.counters() == {
+        second = ResultStore(cache_dir=str(tmp_path))
+        after = second.get(point.store_key())
+        assert second.counters() == {
             "memory_hits": 0, "disk_hits": 1, "misses": 0, "stores": 0, "entries": 1,
         }
         assert after.ipc == before.ipc
@@ -109,12 +109,11 @@ class TestCacheKey:
             ), f"key collision for {overrides}"
 
     def test_differing_configs_simulate_separately(self):
-        cache = SimulationCache(TINY)
-        narrow = cache.run("swim", one_cycle_factory(), "1-cycle",
-                           TINY.processor_config(issue_width=1))
-        wide = cache.run("swim", one_cycle_factory(), "1-cycle",
-                         TINY.processor_config(issue_width=8))
-        assert cache.store.counters()["stores"] == 2
+        store = ResultStore()
+        points = [_point(issue_width=1), _point(issue_width=8)]
+        SweepEngine(store=store, jobs=1).execute(points)
+        assert store.counters()["stores"] == 2
+        narrow, wide = (store.get(point.store_key()) for point in points)
         assert narrow is not wide
         assert narrow.ipc < wide.ipc
 
@@ -135,7 +134,7 @@ class TestScheduler:
             assert rebuilt == factory, name
 
     def test_dedupe_across_plans(self):
-        points = figure6.plan(TINY) + figure7.plan(TINY)
+        points = plan_experiments(["figure6", "figure7"], TINY)
         unique = dedupe_points(points)
         # figure6 and figure7 share the register-file-cache runs.
         assert len(unique) < len(points)
@@ -195,24 +194,6 @@ class TestScheduler:
             "ce7e5e77f485648a773cbafee8904baaa5450ba67d13f3dd7f38528f31e3ad2c",
         }
 
-    def test_plans_cover_their_runs(self):
-        """Executing every experiment's plan leaves nothing for run() to
-        simulate — guards against plan()/run() enumerations drifting apart
-        (which would silently defeat the parallel fan-out)."""
-        from repro.experiments.runner import EXPERIMENTS, PLANNERS, plan_experiments
-
-        store = ResultStore()
-        SweepEngine(store=store, jobs=1).execute(
-            plan_experiments(list(PLANNERS), TINY)
-        )
-        stores_before = store.counters()["stores"]
-        cache = SimulationCache(TINY, store=store)
-        for name, experiment in EXPERIMENTS.items():
-            experiment(TINY, cache=cache)
-            assert store.counters()["stores"] == stores_before, (
-                f"{name}.run() simulated points its plan() did not declare"
-            )
-
     def test_parallel_matches_serial(self):
         serial = run_experiments(["figure6"], TINY, store=ResultStore(), jobs=1)
         parallel = run_experiments(["figure6"], TINY, store=ResultStore(), jobs=2)
@@ -225,21 +206,22 @@ class TestSuiteFilter:
     def test_unknown_benchmarks_raise(self):
         settings = ExperimentSettings(benchmarks=["m88ksim", "nosuchbench"])
         with pytest.raises(ConfigurationError, match="nosuchbench"):
-            settings.suite("fp")
+            settings.suite_selection("fp")
 
     def test_empty_filter_raises(self):
         with pytest.raises(ConfigurationError, match="empty"):
             ExperimentSettings(benchmarks=[])
 
-    def test_filter_excluding_whole_suite_raises(self):
+    def test_filter_excluding_whole_suite_is_empty(self):
         settings = ExperimentSettings(benchmarks=["swim"])  # FP only
-        with pytest.raises(ConfigurationError, match="matches no"):
-            settings.suite("int")
+        assert list(settings.suite_selection("int")) == []
+        points = plan_experiments(["figure2"], settings)
+        assert {point.benchmark for point in points} == {"swim"}
 
     def test_valid_filter_still_selects(self):
         settings = ExperimentSettings(benchmarks=["swim", "m88ksim"])
-        assert settings.suite("int") == ["m88ksim"]
-        assert settings.suite("fp") == ["swim"]
+        assert settings.suite_selection("int") == ["m88ksim"]
+        assert settings.suite_selection("fp") == ["swim"]
         assert settings.active_suite_labels() == [("int", "SpecInt95"),
                                                   ("fp", "SpecFP95")]
 

@@ -33,18 +33,17 @@ class TestLibraryErrors:
     def test_settings_unknown_benchmark_filter_names_it(self):
         settings = ExperimentSettings(benchmarks=["gcc", "nosuchbench"])
         with pytest.raises(ConfigurationError, match="nosuchbench"):
-            settings.suite("int")
+            settings.suite_selection("int")
 
     def test_settings_empty_filter_rejected_at_construction(self):
         with pytest.raises(ConfigurationError, match="empty"):
             ExperimentSettings(benchmarks=[])
 
     def test_settings_filter_excluding_a_whole_suite(self):
+        # The excluded suite is simply empty, and experiments skip it.
         settings = ExperimentSettings(benchmarks=["swim"])
-        with pytest.raises(ConfigurationError, match="matches"):
-            settings.suite("int")
-        # ... but the suite *selection* API reports it as simply empty.
         assert list(settings.suite_selection("int")) == []
+        assert settings.active_suite_labels() == [("fp", "SpecFP95")]
 
 
 class TestRunnerCli:

@@ -151,7 +151,6 @@ class TestExecution:
         )
         (expected,) = run_experiments(["figure6"], settings,
                                       store=ResultStore())
-        expected.data.pop("elapsed_seconds", None)
         (served,) = final.result["results"]
         assert served["data"] == expected.data
         assert served["body"] == expected.body
