@@ -8,9 +8,10 @@ of effective producer→consumer latency (keeping only the *last* level
 avoids "holes": once a value leaves the bypass network it is already
 readable from the register file).
 
-This module encapsulates that arithmetic and counts how operands are
-actually delivered (bypass vs register file), which both the statistics
-and the non-bypass caching policy rely on.
+This module encapsulates that arithmetic.  How operands were actually
+delivered is counted in ``SimulationStats.operands_from_bypass`` /
+``operands_from_file`` and, per value, in its scoreboard state (which the
+non-bypass caching policy reads).
 """
 
 from __future__ import annotations
@@ -43,9 +44,6 @@ class BypassNetwork:
             )
         self.read_stages = read_stages
         self.bypass_levels = bypass_levels
-        # statistics
-        self.operands_from_bypass = 0
-        self.operands_from_regfile = 0
 
     @property
     def timing(self) -> BypassTiming:
@@ -78,16 +76,3 @@ class BypassNetwork:
             return True
         read_start = consumer_ex_start - self.read_stages
         return read_start < rf_ready_cycle
-
-    # ------------------------------------------------------------------
-
-    def record_bypass_read(self) -> None:
-        self.operands_from_bypass += 1
-
-    def record_regfile_read(self) -> None:
-        self.operands_from_regfile += 1
-
-    @property
-    def bypass_fraction(self) -> float:
-        total = self.operands_from_bypass + self.operands_from_regfile
-        return self.operands_from_bypass / total if total else 0.0

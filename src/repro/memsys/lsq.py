@@ -9,9 +9,10 @@ same address (in which case the D-cache is not accessed).
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError, SimulationError
 
@@ -28,13 +29,28 @@ class LSQEntry:
 
 
 class LoadStoreQueue:
-    """A unified load/store queue ordered by program order (seq)."""
+    """A unified load/store queue ordered by program order (seq).
+
+    Two indexes keep the ordering checks O(1) instead of a walk from the
+    oldest entry on every load issue:
+
+    * ``_unaddressed`` — the seqs of stores whose address is still
+      unknown, in insertion (= program) order, so its first key is the
+      oldest such store;
+    * ``_stores_at`` — per address, the ascending seqs of the addressed
+      stores to it, so forwarding scans only same-address stores.
+
+    ``set_address``, ``release``, ``flush_after`` and ``clear`` keep both
+    in step with ``_entries``.
+    """
 
     def __init__(self, capacity: int = 64) -> None:
         if capacity <= 0:
             raise ConfigurationError("LSQ capacity must be positive")
         self.capacity = capacity
         self._entries: "OrderedDict[int, LSQEntry]" = OrderedDict()
+        self._unaddressed: Dict[int, None] = {}
+        self._stores_at: Dict[int, List[int]] = {}
         # statistics
         self.forwarded_loads = 0
         self.blocked_loads = 0
@@ -56,6 +72,8 @@ class LoadStoreQueue:
             raise SimulationError("LSQ entries must be inserted in program order")
         entry = LSQEntry(seq=seq, is_store=is_store)
         self._entries[seq] = entry
+        if is_store:
+            self._unaddressed[seq] = None
         return entry
 
     def set_address(self, seq: int, address: int) -> None:
@@ -63,17 +81,30 @@ class LoadStoreQueue:
         entry = self._entries.get(seq)
         if entry is None:
             raise SimulationError(f"no LSQ entry for seq {seq}")
+        if entry.is_store:
+            if entry.address_ready:
+                if entry.address == address:
+                    return
+                self._unindex_addressed(seq, entry.address)
+            else:
+                del self._unaddressed[seq]
+            seqs = self._stores_at.get(address)
+            if seqs is None:
+                self._stores_at[address] = [seq]
+            elif seqs[-1] < seq:
+                seqs.append(seq)
+            else:
+                insort(seqs, seq)
         entry.address = address
         entry.address_ready = True
 
     def load_may_issue(self, seq: int) -> bool:
         """A load may access memory when all older store addresses are known."""
-        for other_seq, entry in self._entries.items():
-            if other_seq >= seq:
-                break
-            if entry.is_store and not entry.address_ready:
+        for oldest in self._unaddressed:
+            if oldest < seq:
                 self.blocked_loads += 1
                 return False
+            break
         return True
 
     def forwarding_store(self, seq: int, address: int) -> Optional[int]:
@@ -82,28 +113,46 @@ class LoadStoreQueue:
         A hit means the load's data is forwarded inside the LSQ and the
         D-cache is not accessed.
         """
-        best: Optional[int] = None
-        for other_seq, entry in self._entries.items():
-            if other_seq >= seq:
-                break
-            if entry.is_store and entry.address_ready and entry.address == address:
-                best = other_seq
-        if best is not None:
-            self.forwarded_loads += 1
-        return best
+        seqs = self._stores_at.get(address)
+        if seqs is not None:
+            for store_seq in reversed(seqs):
+                if store_seq < seq:
+                    self.forwarded_loads += 1
+                    return store_seq
+        return None
 
     def release(self, seq: int) -> None:
         """Remove the entry at commit (stores) or once the load completes
         and commits."""
-        self._entries.pop(seq, None)
+        entry = self._entries.pop(seq, None)
+        if entry is not None and entry.is_store:
+            self._unindex(entry)
 
     def flush_after(self, seq: int) -> None:
         """Squash all entries younger than ``seq`` (branch misprediction)."""
         for other_seq in [s for s in self._entries if s > seq]:
-            del self._entries[other_seq]
+            entry = self._entries.pop(other_seq)
+            if entry.is_store:
+                self._unindex(entry)
 
     def clear(self) -> None:
         self._entries.clear()
+        self._unaddressed.clear()
+        self._stores_at.clear()
 
     def occupancy(self) -> int:
         return len(self._entries)
+
+    # ------------------------------------------------------------------
+
+    def _unindex(self, entry: LSQEntry) -> None:
+        if entry.address_ready:
+            self._unindex_addressed(entry.seq, entry.address)
+        else:
+            del self._unaddressed[entry.seq]
+
+    def _unindex_addressed(self, seq: int, address: int) -> None:
+        seqs = self._stores_at[address]
+        seqs.remove(seq)
+        if not seqs:
+            del self._stores_at[address]

@@ -14,13 +14,20 @@ trace-driven modelling approach.
 
 Implementation note: ``run`` is the hottest loop of the repository — the
 whole experiment harness is bounded by it — so the stage methods trade a
-little indirection for speed: collaborator dictionaries that are never
-rebound (issue window entries, ROB entries, scoreboard states) are read
-directly, operand planning reuses preallocated per-class access lists
-instead of building dictionaries, and stages are skipped outright on the
-cycles where their input queues are provably empty.  Every change here is
-guarded by the golden-stats parity tests (``tests/test_golden_stats.py``):
-optimizations must leave ``SimulationStats`` bit-identical.
+little indirection for speed.  The register file organisation is bound
+once, at construction (``_bind_register_file_paths``): one issue path per
+model type — a single-banked file is planned straight from the operands'
+value states with no per-operand objects, a banked file plans an
+``OperandAccess`` per operand for its bank id, and the register file
+cache plans each operand without allocating and falls back to fills on a
+miss — plus the per-cycle, write-back, issue and release hooks the model
+reports it needs; a hook it does not need is ``None`` and skipped.
+Collaborator dictionaries that are never rebound (issue window entries,
+ROB entries, scoreboard states) are read directly, and stages are skipped
+outright on the cycles where their input queues are provably empty.
+Every change here is guarded by the golden-stats parity tests
+(``tests/test_golden_stats.py``): optimizations must leave
+``SimulationStats`` bit-identical.
 """
 
 from __future__ import annotations
@@ -43,9 +50,16 @@ from repro.memsys.cache import CacheModel
 from repro.memsys.lsq import LoadStoreQueue
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.stats import OccupancySample, SimulationStats
+from repro.regfile.banked import OneLevelBankedRegisterFile
 from repro.regfile.base import OperandAccess, OperandSource, RegisterFileModel
+from repro.regfile.cache import RegisterFileCache
+from repro.regfile.monolithic import SingleBankedRegisterFile
 from repro.rename.renamer import PhysicalRegister, Renamer
 
+
+_BYPASS = OperandSource.BYPASS
+_FILE = OperandSource.FILE
+_MISS = OperandSource.MISS
 
 # A completion (write back scheduled for a given cycle) is a plain
 # ``(renamed, ex_end_cycle, fetched)`` tuple: one is built per issued
@@ -129,14 +143,10 @@ class Processor:
         self._completions: Dict[int, List[tuple]] = {}
 
         # Collaborator dictionaries that are mutated in place and never
-        # rebound (scoreboard states, ROB entries), plus reusable operand
-        # planning slots: one issue attempt fills these in place instead of
-        # allocating a per-attempt {register class -> accesses} dictionary.
+        # rebound (scoreboard states, ROB entries).
         self._sb_states = self.scoreboard._states
         self._rob_entries = self.rob._entries
-        self._int_accesses: List[OperandAccess] = []
-        self._fp_accesses: List[OperandAccess] = []
-        self._missing_operands: List[OperandAccess] = []
+        self._bind_register_file_paths()
 
         self.stats = SimulationStats(
             benchmark=benchmark_name,
@@ -160,8 +170,57 @@ class Processor:
             physical = self.renamer.current_mapping(logical)
             self.scoreboard.seed_architected(physical)
 
-    def _regfile(self, register: PhysicalRegister) -> RegisterFileModel:
-        return self._int_rf if register.reg_class is RegisterClass.INT else self._fp_rf
+    def _bind_register_file_paths(self) -> None:
+        """Pick this architecture's issue path and register file hooks.
+
+        Each organisation gets exactly one issue path, chosen here from the
+        model's type, so the hot loop never dispatches per operand.  A hook
+        the model reports as ``None`` (unlimited ports, no prefetching, no
+        per-register residency) is skipped outright.  The issue path is
+        kept as a plain function: a bound method of ``self`` stored on
+        ``self`` would be a reference cycle, leaving every finished
+        processor to the cyclic garbage collector.
+        """
+        int_rf = self._int_rf
+        fp_rf = self._fp_rf
+        if type(int_rf) is not type(fp_rf):
+            raise ConfigurationError(
+                "integer and FP register files must share one organisation"
+            )
+        if isinstance(int_rf, SingleBankedRegisterFile):
+            self._issue_path = Processor._try_issue_single_banked
+            self._int_reads_fit = int_rf.read_port_check()
+            self._fp_reads_fit = fp_rf.read_port_check()
+            # The bypass network's arithmetic: a source is obtainable once
+            # ``earliest_consumer_execute(ex_end) <= issue + read_stages``,
+            # i.e. its producer finished by ``issue + bypass_levels - 1``.
+            self._bypass_reach = int_rf.bypass_levels - 1
+        elif isinstance(int_rf, OneLevelBankedRegisterFile):
+            self._issue_path = Processor._try_issue_banked
+            self._int_plan = int_rf.plan_operand_read
+            self._fp_plan = fp_rf.plan_operand_read
+            # Reusable per-class planning slots, filled in place by every
+            # attempt instead of allocating lists.
+            self._int_accesses: List[OperandAccess] = []
+            self._fp_accesses: List[OperandAccess] = []
+        elif isinstance(int_rf, RegisterFileCache):
+            self._issue_path = Processor._try_issue_cache
+            self._int_plan = int_rf.plan_read
+            self._fp_plan = fp_rf.plan_read
+            self._int_reads_fit = int_rf.read_port_check()
+            self._fp_reads_fit = fp_rf.read_port_check()
+        else:
+            raise ConfigurationError(
+                f"no issue path for register file model {type(int_rf).__name__}"
+            )
+        self._int_cycle_hook = int_rf.cycle_hook()
+        self._fp_cycle_hook = fp_rf.cycle_hook()
+        self._int_writeback = int_rf.writeback_hook()
+        self._fp_writeback = fp_rf.writeback_hook()
+        self._int_on_issue = int_rf.issue_hook()
+        self._fp_on_issue = fp_rf.issue_hook()
+        self._int_release = int_rf.release_hook()
+        self._fp_release = fp_rf.release_hook()
 
     # ------------------------------------------------------------------
     # main loop
@@ -197,8 +256,8 @@ class Processor:
         # rebound, so the emptiness checks below stay valid.
         rob_entries = self._rob_entries
         window_entries = self.window._entries
-        int_begin = self._int_rf.begin_cycle
-        fp_begin = self._fp_rf.begin_cycle
+        int_begin = self._int_cycle_hook
+        fp_begin = self._fp_cycle_hook
         fu_begin = self.fu_pool.begin_cycle
         commit_stage = self._commit_stage
         writeback_stage = self._writeback_stage
@@ -224,8 +283,10 @@ class Processor:
                     "likely a livelock in the pipeline model"
                 )
 
-            int_begin(cycle)
-            fp_begin(cycle)
+            if int_begin is not None:
+                int_begin(cycle)
+            if fp_begin is not None:
+                fp_begin(cycle)
             fu_begin(cycle)
 
             if rob_entries:
@@ -268,6 +329,8 @@ class Processor:
         scoreboard = self.scoreboard
         sb_states = self._sb_states
         lsq = self.lsq
+        int_release = self._int_release
+        fp_release = self._fp_release
         value_reads = stats.value_read_distribution
         committed = stats.committed_instructions
         for rob_entry in rob.committable(self.config.commit_width, cycle):
@@ -286,8 +349,8 @@ class Processor:
             # the committed destination.
             released = renamed.previous_dest
             if released is not None:
-                (int_free if released.reg_class is RegisterClass.INT
-                 else fp_free).release(released.index)
+                is_int = released.reg_class is RegisterClass.INT
+                (int_free if is_int else fp_free).release(released.index)
                 state = sb_states.get(released.uid)
                 if state is not None:
                     total_reads = (
@@ -297,7 +360,9 @@ class Processor:
                     )
                     value_reads[total_reads] += 1
                     scoreboard.release(released)
-                    self._regfile(released).release(released)
+                    release = int_release if is_int else fp_release
+                    if release is not None:
+                        release(released)
             op_class = instruction.op_class
             if op_class is OpClass.STORE:
                 self.dcache.access(instruction.mem_address or 0, is_write=True)
@@ -320,6 +385,8 @@ class Processor:
         window = self.window
         rob_entries = self._rob_entries
         stats = self.stats
+        int_writeback = self._int_writeback
+        fp_writeback = self._fp_writeback
         for renamed, ex_end_cycle, fetched in completions:
             instruction = renamed.instruction
             dest = renamed.dest
@@ -327,9 +394,12 @@ class Processor:
                 state = renamed.dest_state
                 if state is None:
                     raise SimulationError(f"no scoreboard state for {dest}")
-                regfile = self._int_rf if dest.reg_class is RegisterClass.INT else self._fp_rf
-                rf_ready = regfile.writeback(dest, state, cycle, window)
-                state.rf_ready_cycle = rf_ready
+                writeback = (int_writeback if dest.reg_class is RegisterClass.INT
+                             else fp_writeback)
+                state.rf_ready_cycle = (
+                    cycle if writeback is None
+                    else writeback(dest, state, cycle, window)
+                )
                 state.written_back = True
             # Inlined ``rob.mark_completed``.
             rob_entry = rob_entries.get(instruction.seq)
@@ -351,15 +421,89 @@ class Processor:
 
     def _issue_stage(self, cycle: int) -> None:
         issue_width = self.config.issue_width
-        try_issue = self._try_issue
+        try_issue = self._issue_path
         issued = 0
         for entry in self.window.schedulable(cycle):
-            if try_issue(entry, cycle):
+            if try_issue(self, entry, cycle):
                 issued += 1
                 if issued >= issue_width:
                     break
 
-    def _try_issue(self, entry: IssueQueueEntry, cycle: int) -> bool:
+    def _try_issue_single_banked(self, entry: IssueQueueEntry, cycle: int) -> bool:
+        """Issue path of the monolithic file, planned from value states.
+
+        No operand can miss, and each read is either bypassed or one read
+        port of its class's file, so an attempt reduces to the timing test
+        of every source plus two counts per class for the models.
+        """
+        renamed = entry.renamed
+        instruction = renamed.instruction
+        op_class = instruction.op_class
+
+        if op_class is OpClass.LOAD and not self.lsq.load_may_issue(instruction.seq):
+            self.window.defer(entry, cycle + 1)
+            return False
+
+        latest_end = cycle + self._bypass_reach
+        int_file = int_bypass = fp_file = fp_bypass = 0
+        plan = entry.operand_plan
+        for _, state, is_int in plan:
+            ex_end = state.ex_end_cycle
+            if ex_end is None:
+                self.window.defer(entry, cycle + 1)
+                return False
+            if ex_end > latest_end:
+                # Retry when ``latest_end`` catches up; always > cycle.
+                self.window.defer(entry, ex_end - self._bypass_reach)
+                return False
+            # From the file when the read, starting at issue, already sees
+            # the written value (``BypassNetwork.served_by_bypass``).
+            rf_ready = state.rf_ready_cycle
+            if rf_ready is not None and rf_ready <= cycle:
+                if is_int:
+                    int_file += 1
+                else:
+                    fp_file += 1
+            elif is_int:
+                int_bypass += 1
+            else:
+                fp_bypass += 1
+
+        stats = self.stats
+        if not self.fu_pool.can_issue(op_class, cycle):
+            stats.issue_stalls_fu += 1
+            return False
+        reads_fit = self._int_reads_fit
+        if int_file and reads_fit is not None and not reads_fit(int_file):
+            stats.issue_stalls_ports += 1
+            return False
+        reads_fit = self._fp_reads_fit
+        if fp_file and reads_fit is not None and not reads_fit(fp_file):
+            stats.issue_stalls_ports += 1
+            return False
+
+        if int_file or int_bypass:
+            self._int_rf.record_reads(int_file, int_bypass)
+        if fp_file or fp_bypass:
+            self._fp_rf.record_reads(fp_file, fp_bypass)
+        for _, state, _ in plan:
+            rf_ready = state.rf_ready_cycle
+            if rf_ready is not None and rf_ready <= cycle:
+                state.reads_from_upper += 1
+            else:
+                state.consumed_via_bypass = True
+                state.reads_from_bypass += 1
+        stats.operands_from_file += int_file + fp_file
+        stats.operands_from_bypass += int_bypass + fp_bypass
+        self._do_issue(entry, cycle)
+        return True
+
+    def _try_issue_banked(self, entry: IssueQueueEntry, cycle: int) -> bool:
+        """Issue path of the one-level banked file.
+
+        Every file read names its bank, so each operand is planned into an
+        :class:`OperandAccess` and the model arbitrates the banks' ports.
+        """
         renamed = entry.renamed
         instruction = renamed.instruction
         op_class = instruction.op_class
@@ -369,63 +513,133 @@ class Processor:
             window.defer(entry, cycle + 1)
             return False
 
-        # Operand read planning into the reusable per-class slot lists
-        # (the former per-attempt dictionary was pure allocation churn).
-        # The (register, scoreboard state, class) triples were resolved
-        # once at dispatch (``entry.operand_plan``).
-        int_rf = self._int_rf
-        fp_rf = self._fp_rf
+        # Planning into the reusable per-class slot lists; the (register,
+        # scoreboard state, class) triples were resolved at dispatch.
+        int_plan = self._int_plan
+        fp_plan = self._fp_plan
         int_accesses = self._int_accesses
         fp_accesses = self._fp_accesses
-        missing = self._missing_operands
         int_accesses.clear()
         fp_accesses.clear()
-        missing.clear()
         for register, state, is_int in entry.operand_plan:
-            access = (int_rf if is_int else fp_rf).plan_operand_read(
-                register, state, cycle
-            )
-            source = access.source
-            if source is OperandSource.NOT_READY:
+            access = (int_plan if is_int else fp_plan)(register, state, cycle)
+            if access.source is OperandSource.NOT_READY:
                 retry = access.retry_cycle
                 if retry is None or retry < cycle + 1:
                     retry = cycle + 1
                 window.defer(entry, retry)
                 return False
             access.state = state
-            if source is OperandSource.MISS:
-                missing.append(access)
-            elif is_int:
-                int_accesses.append(access)
-            else:
-                fp_accesses.append(access)
+            (int_accesses if is_int else fp_accesses).append(access)
 
-        if missing:
-            self._handle_upper_level_misses(
-                entry, missing, int_accesses, fp_accesses, cycle
-            )
-            return False
-
+        stats = self.stats
         if not self.fu_pool.can_issue(op_class, cycle):
-            self.stats.issue_stalls_fu += 1
+            stats.issue_stalls_fu += 1
             return False
+        int_rf = self._int_rf
+        fp_rf = self._fp_rf
         if int_accesses and not int_rf.can_claim_reads(int_accesses):
-            self.stats.issue_stalls_ports += 1
+            stats.issue_stalls_ports += 1
             return False
         if fp_accesses and not fp_rf.can_claim_reads(fp_accesses):
-            self.stats.issue_stalls_ports += 1
+            stats.issue_stalls_ports += 1
             return False
 
-        self._do_issue(entry, int_accesses, fp_accesses, cycle)
+        for accesses, regfile in ((int_accesses, int_rf), (fp_accesses, fp_rf)):
+            if not accesses:
+                continue
+            regfile.claim_reads(accesses)
+            for access in accesses:
+                state = access.state
+                if access.source is OperandSource.BYPASS:
+                    state.consumed_via_bypass = True
+                    state.reads_from_bypass += 1
+                    stats.operands_from_bypass += 1
+                else:
+                    state.reads_from_upper += 1
+                    stats.operands_from_file += 1
+        self._do_issue(entry, cycle)
         return True
 
-    def _handle_upper_level_misses(
-        self,
-        entry: IssueQueueEntry,
-        missing: List[OperandAccess],
-        int_accesses: List[OperandAccess],
-        fp_accesses: List[OperandAccess],
-        cycle: int,
+    def _try_issue_cache(self, entry: IssueQueueEntry, cycle: int) -> bool:
+        """Issue path of the register file cache.
+
+        The model plans each operand without allocating
+        (:meth:`RegisterFileCache.plan_read`); an operand found only in the
+        lowest level starts a fill instead of an issue.
+        """
+        renamed = entry.renamed
+        instruction = renamed.instruction
+        op_class = instruction.op_class
+
+        if op_class is OpClass.LOAD and not self.lsq.load_may_issue(instruction.seq):
+            self.window.defer(entry, cycle + 1)
+            return False
+
+        int_plan = self._int_plan
+        fp_plan = self._fp_plan
+        plan = entry.operand_plan
+        sources = []
+        missing = None
+        int_file = fp_file = 0
+        for register, state, is_int in plan:
+            source = (int_plan if is_int else fp_plan)(register, state, cycle)
+            if source is _FILE:
+                if is_int:
+                    int_file += 1
+                else:
+                    fp_file += 1
+            elif source is _MISS:
+                if missing is None:
+                    missing = []
+                missing.append((register, state, is_int))
+            elif source is not _BYPASS:
+                # Not obtainable yet: ``source`` is the retry hint.
+                self.window.defer(
+                    entry, source if source is not None and source > cycle else cycle + 1
+                )
+                return False
+            sources.append(source)
+
+        if missing is not None:
+            self._fill_upper_level(entry, missing, cycle)
+            return False
+
+        stats = self.stats
+        if not self.fu_pool.can_issue(op_class, cycle):
+            stats.issue_stalls_fu += 1
+            return False
+        reads_fit = self._int_reads_fit
+        if int_file and reads_fit is not None and not reads_fit(int_file):
+            stats.issue_stalls_ports += 1
+            return False
+        reads_fit = self._fp_reads_fit
+        if fp_file and reads_fit is not None and not reads_fit(fp_file):
+            stats.issue_stalls_ports += 1
+            return False
+
+        int_rf = self._int_rf
+        fp_rf = self._fp_rf
+        for (register, state, is_int), source in zip(plan, sources):
+            from_upper = source is _FILE
+            (int_rf if is_int else fp_rf).read(register, from_upper)
+            if from_upper:
+                state.reads_from_upper += 1
+            else:
+                state.consumed_via_bypass = True
+                state.reads_from_bypass += 1
+        if int_file:
+            int_rf.claim_read_ports(int_file)
+        if fp_file:
+            fp_rf.claim_read_ports(fp_file)
+        from_file = int_file + fp_file
+        stats.operands_from_file += from_file
+        stats.operands_from_bypass += len(plan) - from_file
+        self._do_issue(entry, cycle)
+        return True
+
+    def _fill_upper_level(
+        self, entry: IssueQueueEntry, missing: List[tuple], cycle: int
     ) -> None:
         """Fetch-on-demand: bring missing operands up over the buses.
 
@@ -435,17 +649,20 @@ class Processor:
         other and livelock the pipeline.
         """
         self.stats.issue_stalls_fill += 1
+        int_rf = self._int_rf
+        fp_rf = self._fp_rf
         is_oldest = self.window.oldest_seq() == entry.seq
         if is_oldest:
-            for accesses in (int_accesses, fp_accesses):
-                for access in accesses:
-                    if access.source is OperandSource.FILE:
-                        self._regfile(access.register).pin_operand(access.register)
+            # ``pin_operand`` keeps only resident or in-flight values: of
+            # this instruction's operands, exactly its upper-level reads (a
+            # bypassed value is not written back yet, a missing one is
+            # neither resident nor in flight).
+            for register, _, is_int in entry.operand_plan:
+                (int_rf if is_int else fp_rf).pin_operand(register)
         latest_completion: Optional[int] = None
-        for access in missing:
-            register = access.register
-            completion = self._regfile(register).request_fill(
-                register, access.state, cycle, pin=is_oldest
+        for register, state, is_int in missing:
+            completion = (int_rf if is_int else fp_rf).request_fill(
+                register, state, cycle, pin=is_oldest
             )
             if completion is not None:
                 latest_completion = max(latest_completion or 0, completion)
@@ -454,25 +671,12 @@ class Processor:
         else:
             self.window.defer(entry, cycle + 1)
 
-    def _do_issue(
-        self,
-        entry: IssueQueueEntry,
-        int_accesses: List[OperandAccess],
-        fp_accesses: List[OperandAccess],
-        cycle: int,
-    ) -> None:
+    def _do_issue(self, entry: IssueQueueEntry, cycle: int) -> None:
+        """Issue ``entry`` once its operand reads are accounted."""
         renamed = entry.renamed
         instruction = renamed.instruction
         op_class = instruction.op_class
-        stats = self.stats
-        bypass = self.bypass
         window = self.window
-        if int_accesses:
-            self._int_rf.claim_reads(int_accesses)
-            self._record_operand_reads(int_accesses, stats, bypass)
-        if fp_accesses:
-            self._fp_rf.claim_reads(fp_accesses)
-            self._record_operand_reads(fp_accesses, stats, bypass)
 
         # Inlined ``_execution_latency``: the common (non-memory) case is
         # a plain field read, and loads are the only class with real work.
@@ -510,8 +714,10 @@ class Processor:
                 raise SimulationError(f"no scoreboard state for {dest}")
             state.ex_end_cycle = ex_end
             window.wakeup(dest, ex_end)
-            regfile = self._int_rf if dest.reg_class is RegisterClass.INT else self._fp_rf
-            regfile.on_issue(entry, cycle, window, self.scoreboard)
+            on_issue = (self._int_on_issue if dest.reg_class is RegisterClass.INT
+                        else self._fp_on_issue)
+            if on_issue is not None:
+                on_issue(entry, cycle, window, self.scoreboard)
 
         completion = (renamed, ex_end, renamed.fetched)
         bucket = self._completions.get(ex_end + 1)
@@ -519,21 +725,6 @@ class Processor:
             self._completions[ex_end + 1] = [completion]
         else:
             bucket.append(completion)
-
-    @staticmethod
-    def _record_operand_reads(accesses, stats, bypass) -> None:
-        """Consumer-side read bookkeeping (inlined scoreboard updates)."""
-        for access in accesses:
-            state = access.state
-            if access.source is OperandSource.BYPASS:
-                state.consumed_via_bypass = True
-                state.reads_from_bypass += 1
-                bypass.operands_from_bypass += 1
-                stats.operands_from_bypass += 1
-            else:
-                state.reads_from_upper += 1
-                bypass.operands_from_regfile += 1
-                stats.operands_from_file += 1
 
     # ------------------------------------------------------------------
     # decode / rename / dispatch

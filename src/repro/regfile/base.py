@@ -1,20 +1,33 @@
 """Common interface of all register file architectures.
 
 The pipeline model interacts with a register file exclusively through
-:class:`RegisterFileModel`:
+:class:`RegisterFileModel`, and it binds what it needs once, when the
+processor is built, rather than dispatching on every operand:
 
-* at **select/issue** time it asks, for each source operand of a
-  candidate instruction, how the operand would be obtained
-  (:meth:`RegisterFileModel.plan_operand_read`), checks that the required
-  read ports are available, and finally claims them;
+* at **select/issue** time a single-banked file is planned straight from
+  the operands' :class:`~repro.execute.scoreboard.ValueState` timing; the
+  model only answers whether its read ports fit the file reads
+  (:meth:`~repro.regfile.monolithic.SingleBankedRegisterFile.read_port_check`)
+  and records them.  A banked file plans each operand into an
+  :class:`OperandAccess` naming its bank and checks and claims per-bank
+  ports; the register file cache plans each operand without allocating
+  (:meth:`~repro.regfile.cache.RegisterFileCache.plan_read`), since a
+  read may miss in the upper level.  Every model also answers the
+  per-operand queries :meth:`RegisterFileModel.plan_operand_read`,
+  :meth:`~RegisterFileModel.can_claim_reads` and
+  :meth:`~RegisterFileModel.claim_reads`;
 * when an operand is *missing* from the upper level of a register file
-  cache it asks the model to start a **fill** over one of the
+  cache the pipeline asks the model to start a **fill** over one of the
   inter-level buses;
 * at **write-back** time it hands the produced value to the model, which
   arbitrates write ports, applies the caching policy and reports when the
   value becomes readable from the file;
-* at **issue** time of a producer the model gets a hook used by the
-  prefetch-first-pair scheme.
+* the per-cycle, write-back, issue and release hooks are bound once from
+  :meth:`~RegisterFileModel.cycle_hook`,
+  :meth:`~RegisterFileModel.writeback_hook`,
+  :meth:`~RegisterFileModel.issue_hook` and
+  :meth:`~RegisterFileModel.release_hook`; ``None`` means the
+  organisation has nothing to do there and the pipeline skips the call.
 """
 
 from __future__ import annotations
@@ -22,13 +35,13 @@ from __future__ import annotations
 import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.execute.scoreboard import ValueState
 from repro.rename.renamer import PhysicalRegister
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.execute.issue_queue import IssueQueue, IssueQueueEntry
+    from repro.execute.issue_queue import IssueQueue
 
 #: Sentinel meaning "an unlimited number of ports/buses".
 UNLIMITED: Optional[int] = None
@@ -113,39 +126,6 @@ class RegisterFileModel(ABC):
         """Consume read ports for the FILE accesses in ``accesses``."""
 
     # ------------------------------------------------------------------
-    # fills / prefetches (register file cache only; default no-ops)
-    # ------------------------------------------------------------------
-
-    def request_fill(
-        self, register: PhysicalRegister, state: ValueState, cycle: int
-    ) -> Optional[int]:
-        """Start bringing ``register`` into the uppermost level.
-
-        Returns the cycle at which the value will be readable from the
-        uppermost level, or ``None`` if no transfer could be started (no
-        free bus, value not yet in the lower bank).  The default
-        implementation (single-level organisations) does nothing.
-        """
-        return None
-
-    def on_issue(
-        self,
-        entry: "IssueQueueEntry",
-        cycle: int,
-        window: "IssueQueue",
-        scoreboard,
-    ) -> None:
-        """Hook invoked when an instruction issues (prefetch-first-pair)."""
-
-    def pin_operand(self, register: PhysicalRegister) -> None:
-        """Keep ``register`` resident in the uppermost level until it is read.
-
-        Called by the pipeline for the operands of the oldest waiting
-        instruction so that forward progress is guaranteed even with very
-        small upper levels.  Single-level organisations need no pinning.
-        """
-
-    # ------------------------------------------------------------------
     # writes (write-back side)
     # ------------------------------------------------------------------
 
@@ -169,6 +149,27 @@ class RegisterFileModel(ABC):
 
     def release(self, register: PhysicalRegister) -> None:
         """The physical register was returned to the free list."""
+
+    # ------------------------------------------------------------------
+    # hooks bound once by the pipeline (None: nothing to do)
+    # ------------------------------------------------------------------
+
+    def cycle_hook(self) -> Optional[Callable[[int], None]]:
+        """The callback run at the start of every cycle."""
+        return self.begin_cycle
+
+    def writeback_hook(self) -> Optional[Callable[..., int]]:
+        """The write-back callback; ``None`` means a result is readable
+        from the file in the cycle it is written (unlimited write ports)."""
+        return self.writeback
+
+    def issue_hook(self) -> Optional[Callable[..., None]]:
+        """The callback run when a producer issues (prefetching)."""
+        return None
+
+    def release_hook(self) -> Optional[Callable[[PhysicalRegister], None]]:
+        """The callback run when a physical register is freed."""
+        return None
 
     # ------------------------------------------------------------------
     # reporting

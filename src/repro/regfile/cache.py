@@ -18,7 +18,7 @@ This is the architecture the paper proposes (Section 3, Figure 4b):
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.execute.scoreboard import ValueState
@@ -138,67 +138,94 @@ class RegisterFileCache(RegisterFileModel):
     # reads (issue side)
     # ------------------------------------------------------------------
 
-    def plan_operand_read(
-        self, register: PhysicalRegister, state: ValueState, issue_cycle: int
-    ) -> OperandAccess:
-        if state.ex_end_cycle is None:
-            return OperandAccess(register, OperandSource.NOT_READY)
-        ex_start = issue_cycle + self.read_stages
-        earliest_ex = state.ex_end_cycle + 1
-        if ex_start < earliest_ex:
-            return OperandAccess(
-                register, OperandSource.NOT_READY, retry_cycle=state.ex_end_cycle
-            )
-        if ex_start == earliest_ex:
-            # The single bypass level catches results exactly one cycle
-            # after the producer finishes.
-            return OperandAccess(register, OperandSource.BYPASS)
+    def plan_read(self, register: PhysicalRegister, state: ValueState, issue_cycle: int):
+        """Where an instruction issued at ``issue_cycle`` reads ``register``.
+
+        Returns ``OperandSource.BYPASS``, ``FILE`` or ``MISS``; while the
+        value is not obtainable yet, returns instead the earliest cycle at
+        which planning again could succeed (``None`` when unknown).  The
+        pipeline's register-file-cache issue path calls this per operand,
+        so it allocates nothing.
+        """
+        ex_end = state.ex_end_cycle
+        if ex_end is None:
+            return None
+        # One read stage: the operand is needed at ``issue_cycle + 1``, and
+        # the single bypass level catches a result exactly one cycle after
+        # its producer finishes.
+        if issue_cycle < ex_end:
+            return ex_end
+        if issue_cycle == ex_end:
+            return OperandSource.BYPASS
         uid = register.uid
         if uid in self._upper_slots:
             # Mark the entry hot: the instruction planning this read may be
             # waiting for another operand, and this copy must survive until
             # both are available.
             self._upper.touch(uid)
-            return OperandAccess(register, OperandSource.FILE)
+            return OperandSource.FILE
         pending = self._pending_fills.get(uid)
         if pending is not None:
-            return OperandAccess(register, OperandSource.NOT_READY, retry_cycle=pending)
-        if state.written_back and state.rf_ready_cycle is not None \
-                and issue_cycle >= state.rf_ready_cycle:
-            return OperandAccess(register, OperandSource.MISS)
-        retry = state.rf_ready_cycle
-        return OperandAccess(register, OperandSource.NOT_READY, retry_cycle=retry)
+            return pending
+        rf_ready = state.rf_ready_cycle
+        if state.written_back and rf_ready is not None and issue_cycle >= rf_ready:
+            return OperandSource.MISS
+        return rf_ready
+
+    def plan_operand_read(
+        self, register: PhysicalRegister, state: ValueState, issue_cycle: int
+    ) -> OperandAccess:
+        source = self.plan_read(register, state, issue_cycle)
+        if source.__class__ is OperandSource:
+            return OperandAccess(register, source)
+        return OperandAccess(register, OperandSource.NOT_READY, retry_cycle=source)
+
+    def read_port_check(self) -> Optional[Callable[[int], bool]]:
+        """The issue-time port check, or ``None`` when reads are unlimited."""
+        return None if self.upper_read_ports.unlimited else self.reads_fit
+
+    def reads_fit(self, needed: int) -> bool:
+        """Whether ``needed`` upper-level reads fit in this cycle's read
+        ports (a refusal counts as a read-port stall)."""
+        if self.upper_read_ports.available_capped(needed):
+            return True
+        self.read_port_stalls += 1
+        return False
+
+    def read(self, register: PhysicalRegister, from_upper: bool) -> None:
+        """Account one issued read, from the upper level or the bypass."""
+        uid = register.uid
+        if from_upper:
+            self.reads_from_upper += 1
+            if uid in self._upper_slots:
+                self._upper.touch(uid)
+        else:
+            self.reads_from_bypass += 1
+        self._read_pinned.discard(uid)
+
+    def claim_read_ports(self, needed: int) -> None:
+        """Consume the read ports of ``needed`` issued upper-level reads."""
+        if self.upper_read_ports.count is not None:
+            self.upper_read_ports.claim_capped(needed)
 
     def can_claim_reads(self, accesses: Sequence[OperandAccess]) -> bool:
         needed = 0
         for access in accesses:
             if access.source is OperandSource.FILE:
                 needed += 1
-        if needed == 0:
-            return True
-        available = self.upper_read_ports.available_capped(needed)
-        if not available:
-            self.read_port_stalls += 1
-        return available
+        return needed == 0 or self.reads_fit(needed)
 
     def claim_reads(self, accesses: Sequence[OperandAccess]) -> None:
         needed = 0
-        upper_slots = self._upper_slots
-        read_pinned = self._read_pinned
         for access in accesses:
             source = access.source
             if source is OperandSource.FILE:
                 needed += 1
-                self.reads_from_upper += 1
-                uid = access.register.uid
-                if uid in upper_slots:
-                    self._upper.touch(uid)
-                read_pinned.discard(uid)
+                self.read(access.register, True)
             elif source is OperandSource.BYPASS:
-                self.reads_from_bypass += 1
-                read_pinned.discard(access.register.uid)
+                self.read(access.register, False)
         if needed:
-            self.upper_read_ports.claim_capped(needed)
+            self.claim_read_ports(needed)
 
     # ------------------------------------------------------------------
     # fills and prefetches
@@ -245,7 +272,11 @@ class RegisterFileCache(RegisterFileModel):
         return completion
 
     def on_issue(self, entry, cycle: int, window, scoreboard) -> None:
+        """Give the fetch policy its prefetch opportunity for ``entry``."""
         self.fetch_policy.on_issue(self, entry, cycle, window, scoreboard)
+
+    def issue_hook(self):
+        return self.on_issue if self.fetch_policy.prefetches else None
 
     # ------------------------------------------------------------------
     # writes
@@ -279,6 +310,9 @@ class RegisterFileCache(RegisterFileModel):
         self._upper.remove(uid)
         self._pending_fills.pop(uid, None)
         self._read_pinned.discard(uid)
+
+    def release_hook(self):
+        return self.release
 
     # ------------------------------------------------------------------
     # reporting

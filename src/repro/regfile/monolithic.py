@@ -14,7 +14,7 @@ Figure 9) sweep.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.execute.scoreboard import ValueState
@@ -67,6 +67,22 @@ class SingleBankedRegisterFile(RegisterFileModel):
         if not cycle & 1023:
             self.writes.forget_before(cycle)
 
+    def cycle_hook(self) -> Optional[Callable[[int], None]]:
+        # Unlimited ports keep no per-cycle or per-write state.
+        if self.read_ports.unlimited and self.writes.unlimited:
+            return None
+        return self.begin_cycle
+
+    def writeback_hook(self):
+        return None if self.writes.unlimited else self.writeback
+
+    # ------------------------------------------------------------------
+    # reads (issue side)
+    #
+    # The pipeline's single-banked issue path applies the timing rule of
+    # :meth:`plan_operand_read` to a whole instruction straight from the
+    # operands' value states, and talks to the model only in counts of
+    # file and bypass reads (:meth:`read_port_check`, :meth:`record_reads`).
     # ------------------------------------------------------------------
 
     def plan_operand_read(
@@ -89,17 +105,31 @@ class SingleBankedRegisterFile(RegisterFileModel):
             return OperandAccess(register, OperandSource.FILE)
         return OperandAccess(register, OperandSource.BYPASS)
 
+    def read_port_check(self) -> Optional[Callable[[int], bool]]:
+        """The issue-time port check, or ``None`` when reads are unlimited."""
+        return None if self.read_ports.unlimited else self.reads_fit
+
+    def reads_fit(self, needed: int) -> bool:
+        """Whether ``needed`` file reads fit in this cycle's read ports
+        (a refusal counts as a read-port stall)."""
+        if self.read_ports.available_capped(needed):
+            return True
+        self.read_port_stalls += 1
+        return False
+
+    def record_reads(self, file_reads: int, bypass_reads: int) -> None:
+        """Account an issued instruction's reads, claiming its file ports."""
+        if file_reads and self.read_ports.count is not None:
+            self.read_ports.claim_capped(file_reads)
+        self.reads_from_file += file_reads
+        self.reads_from_bypass += bypass_reads
+
     def can_claim_reads(self, accesses: Sequence[OperandAccess]) -> bool:
         needed = 0
         for access in accesses:
             if access.source is OperandSource.FILE:
                 needed += 1
-        if needed == 0:
-            return True
-        available = self.read_ports.available_capped(needed)
-        if not available:
-            self.read_port_stalls += 1
-        return available
+        return needed == 0 or self.reads_fit(needed)
 
     def claim_reads(self, accesses: Sequence[OperandAccess]) -> None:
         needed = 0
@@ -110,10 +140,7 @@ class SingleBankedRegisterFile(RegisterFileModel):
                 needed += 1
             elif source is OperandSource.BYPASS:
                 bypassed += 1
-        if needed:
-            self.read_ports.claim_capped(needed)
-        self.reads_from_file += needed
-        self.reads_from_bypass += bypassed
+        self.record_reads(needed, bypassed)
 
     # ------------------------------------------------------------------
 
@@ -124,8 +151,7 @@ class SingleBankedRegisterFile(RegisterFileModel):
         cycle: int,
         window,
     ) -> int:
-        write_cycle = self.writes.schedule(cycle)
-        return write_cycle
+        return self.writes.schedule(cycle)
 
     # ------------------------------------------------------------------
 

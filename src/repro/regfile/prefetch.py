@@ -31,6 +31,9 @@ class FetchPolicy(ABC):
     """Decides when values are moved from the lowest to the uppermost bank."""
 
     name: str = "fetch-policy"
+    #: Whether :meth:`on_issue` ever starts a transfer; the pipeline binds
+    #: no issue hook for a policy that does not.
+    prefetches: bool = False
 
     def on_issue(
         self,
@@ -53,6 +56,7 @@ class PrefetchFirstPair(FetchPolicy):
     """Prefetch the other operand of the first consumer of an issued result."""
 
     name = "prefetch-first-pair"
+    prefetches = True
 
     def on_issue(
         self,

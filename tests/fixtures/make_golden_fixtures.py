@@ -32,6 +32,7 @@ from repro.experiments.common import (  # noqa: E402
 )
 from repro.pipeline.config import ProcessorConfig  # noqa: E402
 from repro.pipeline.processor import simulate  # noqa: E402
+from repro.workloads.kernels import KERNELS, kernel_workload  # noqa: E402
 from repro.workloads.profiles import get_profile  # noqa: E402
 from repro.workloads.synthetic import SyntheticWorkload  # noqa: E402
 
@@ -40,7 +41,7 @@ from repro.workloads.synthetic import SyntheticWorkload  # noqa: E402
 INSTRUCTIONS = 2500
 STREAM_LENGTH = 3500
 
-#: name -> (profile, factory, config overrides)
+#: name -> (profile or kernel, factory, config overrides)
 SCENARIOS = {
     "single_banked_1c": (
         "gcc",
@@ -82,15 +83,48 @@ SCENARIOS = {
         RegisterFileCacheFactory(caching="ready", fetch="fetch-on-demand"),
         {"collect_occupancy": True},
     ),
+    # FP read-port stalls on a port-limited monolithic file.
+    "single_banked_2c_fp_ports": (
+        "swim",
+        SingleBankedFactory(latency=2, bypass_levels=2, read_ports=6,
+                            write_ports=4),
+        {},
+    ),
+    # One read port: two-operand reads are oversized requests that need
+    # an otherwise idle file (``PortSet.available_capped``).
+    "single_banked_1c_one_read_port": (
+        "fpppp",
+        SingleBankedFactory(latency=1, bypass_levels=1, read_ports=1,
+                            write_ports=1),
+        {},
+    ),
+    # The stencil kernel stores and reloads the same addresses while both
+    # are in flight, so many loads are forwarded inside the LSQ.
+    "stencil_store_forwarding": (
+        "stencil",
+        SingleBankedFactory(latency=2, bypass_levels=1, read_ports=4,
+                            write_ports=2),
+        {},
+    ),
+}
+
+#: name -> (counter path, minimum) that the scenario exists to cover; the
+#: parity tests assert each fixture still reaches its minimum.
+TARGETED_COUNTERS = {
+    "single_banked_2c_fp_ports": (("regfile_statistics", "fp_read_port_stalls"), 1),
+    "single_banked_1c_one_read_port": (("regfile_statistics", "int_read_port_stalls"), 1),
+    "stencil_store_forwarding": (("loads_forwarded",), 10),
 }
 
 
 def run_scenario(name: str) -> dict:
     profile_name, factory, overrides = SCENARIOS[name]
-    workload = SyntheticWorkload(get_profile(profile_name))
+    if profile_name in KERNELS:
+        stream = kernel_workload(profile_name, STREAM_LENGTH)
+    else:
+        stream = SyntheticWorkload(get_profile(profile_name)).instructions(STREAM_LENGTH)
     config = ProcessorConfig(max_instructions=INSTRUCTIONS, **overrides)
-    stats = simulate(workload.instructions(STREAM_LENGTH), factory, config,
-                     benchmark_name=profile_name)
+    stats = simulate(stream, factory, config, benchmark_name=profile_name)
     return stats.to_dict()
 
 

@@ -184,9 +184,3 @@ class TestBypassNetwork:
         assert bypass.served_by_bypass(10, rf_ready_cycle=12, consumer_ex_start=11)
         assert not bypass.served_by_bypass(10, rf_ready_cycle=12, consumer_ex_start=14)
         assert bypass.served_by_bypass(10, rf_ready_cycle=None, consumer_ex_start=20)
-
-    def test_statistics(self):
-        bypass = BypassNetwork(1, 1)
-        bypass.record_bypass_read()
-        bypass.record_regfile_read()
-        assert bypass.bypass_fraction == 0.5

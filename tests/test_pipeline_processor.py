@@ -6,6 +6,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.isa.assembler import assemble
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.processor import Processor, simulate
+from repro.regfile.base import RegisterFileModel
 from repro.regfile.cache import RegisterFileCache
 from repro.regfile.monolithic import SingleBankedRegisterFile
 from repro.workloads.kernels import dot_product_program
@@ -65,6 +66,32 @@ class TestBasicExecution:
 
         with pytest.raises(ConfigurationError):
             Processor(gcc_workload.instructions(100), alternating)
+
+    def test_mixed_regfile_organisations_rejected(self, gcc_workload):
+        # Same timing (1 read stage, 1 bypass level), different organisation.
+        models = iter([SingleBankedRegisterFile(latency=1), RegisterFileCache()])
+        with pytest.raises(ConfigurationError):
+            Processor(gcc_workload.instructions(100), lambda: next(models))
+
+    def test_regfile_model_without_issue_path_rejected(self, gcc_workload):
+        class Unbound(RegisterFileModel):
+            def begin_cycle(self, cycle):
+                pass
+
+            def plan_operand_read(self, register, state, issue_cycle):
+                raise AssertionError("never planned")
+
+            def can_claim_reads(self, accesses):
+                return True
+
+            def claim_reads(self, accesses):
+                pass
+
+            def writeback(self, register, state, cycle, window):
+                return cycle
+
+        with pytest.raises(ConfigurationError, match="no issue path"):
+            Processor(gcc_workload.instructions(100), Unbound)
 
     def test_livelock_guard_raises(self, gcc_workload):
         config = ProcessorConfig(max_instructions=5000, max_cycles=3)

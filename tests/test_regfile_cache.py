@@ -325,3 +325,19 @@ class TestPrefetchFirstPair:
         entry = window.dispatch(producer, cycle=0)
         cache.on_issue(entry, cycle=3, window=window, scoreboard=scoreboard)
         assert cache.prefetch_fills == 0
+
+
+class TestBoundHooks:
+    def test_only_prefetching_binds_an_issue_hook(self):
+        on_demand = RegisterFileCache(fetch_policy=FetchOnDemand())
+        prefetching = RegisterFileCache(fetch_policy=PrefetchFirstPair())
+        assert on_demand.issue_hook() is None
+        assert prefetching.issue_hook() == prefetching.on_issue
+
+    def test_residency_binds_release_and_cycle_hooks(self):
+        cache = RegisterFileCache()
+        assert cache.release_hook() == cache.release
+        assert cache.cycle_hook() == cache.begin_cycle
+        assert cache.read_port_check() is None
+        ported = RegisterFileCache(upper_read_ports=2)
+        assert ported.read_port_check() == ported.reads_fit

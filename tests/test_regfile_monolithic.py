@@ -120,3 +120,31 @@ class TestPorts:
         regfile.claim_reads([access])
         stats = regfile.statistics()
         assert stats["reads_from_file"] == 1
+
+
+class TestBoundHooks:
+    def test_unlimited_ports_need_no_per_cycle_or_write_work(self):
+        regfile = SingleBankedRegisterFile(latency=1)
+        assert regfile.cycle_hook() is None
+        assert regfile.writeback_hook() is None
+        assert regfile.read_port_check() is None
+        assert regfile.issue_hook() is None and regfile.release_hook() is None
+
+    def test_port_limits_bind_their_bookkeeping(self):
+        regfile = SingleBankedRegisterFile(latency=1, read_ports=2, write_ports=1)
+        assert regfile.cycle_hook() == regfile.begin_cycle
+        assert regfile.writeback_hook() == regfile.writeback
+        assert regfile.read_port_check() == regfile.reads_fit
+        only_writes = SingleBankedRegisterFile(latency=1, write_ports=1)
+        assert only_writes.cycle_hook() == only_writes.begin_cycle
+        assert only_writes.read_port_check() is None
+
+    def test_oversized_read_needs_an_idle_file(self):
+        regfile = SingleBankedRegisterFile(latency=1, read_ports=1)
+        regfile.begin_cycle(10)
+        assert regfile.reads_fit(2)
+        regfile.record_reads(2, 1)
+        assert not regfile.reads_fit(1)
+        assert regfile.read_port_stalls == 1
+        assert regfile.statistics()["reads_from_file"] == 2
+        assert regfile.statistics()["reads_from_bypass"] == 1

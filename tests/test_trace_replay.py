@@ -12,6 +12,7 @@ result-store key.
 from __future__ import annotations
 
 import gzip
+import io
 import json
 import os
 
@@ -132,6 +133,31 @@ class TestTraceStore:
         config = ProcessorConfig(max_instructions=N)
         assert (replay_simulate(loaded, factory, config).to_dict()
                 == replay_simulate(gcc_trace, factory, config).to_dict())
+
+    def test_level_9_blob_is_still_served(self, gcc_trace, tmp_path):
+        """Blobs written at ``GzipFile``'s default level 9, as stores did
+        before the level was lowered, decode as before."""
+        store = TraceStore(str(tmp_path))
+        buffer = io.BytesIO()
+        with gzip.GzipFile(fileobj=buffer, mode="wb", mtime=0) as handle:
+            handle.write(json.dumps(gcc_trace.to_payload()).encode("utf-8"))
+        store._disk.put(gcc_trace.key, buffer.getvalue())
+        loaded = TraceStore(str(tmp_path)).get(gcc_trace.key)
+        assert loaded is not None
+        assert loaded.to_payload() == gcc_trace.to_payload()
+
+    def test_puts_compress_at_level_6(self, gcc_trace, tmp_path):
+        store = TraceStore(str(tmp_path))
+        store.put(gcc_trace)
+        store.put_payload("f" * 64, {"kind": "checkpoint"})
+        raw = json.dumps(gcc_trace.to_payload()).encode("utf-8")
+        assert store._disk.get(gcc_trace.key) == gzip.compress(
+            raw, compresslevel=6, mtime=0
+        )
+        assert store._disk.get("f" * 64) == gzip.compress(
+            json.dumps({"kind": "checkpoint"}).encode("utf-8"),
+            compresslevel=6, mtime=0,
+        )
 
     def test_memory_tier_returns_same_object(self, gcc_trace, tmp_path):
         store = TraceStore(str(tmp_path))
